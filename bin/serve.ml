@@ -170,12 +170,14 @@ let serve docs xmark host port workers queue_cap client_cap plan_cache
       ~tick_s:tick ~stores:!stores ()
   in
   let t = Server.start cfg in
-  (* the readiness line scripts and CI wait for — keep the format stable *)
-  Printf.printf "listening on %s:%d\n%!" host (Server.port t);
+  (* the handlers go in before the readiness line: a SIGTERM sent the
+     moment a client sees it must drain, not kill *)
   let stop_requested = Atomic.make false in
   let request_stop _ = Atomic.set stop_requested true in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
   Sys.set_signal Sys.sigint (Sys.Signal_handle request_stop);
+  (* the readiness line scripts and CI wait for — keep the format stable *)
+  Printf.printf "listening on %s:%d\n%!" host (Server.port t);
   while not (Atomic.get stop_requested) do
     Thread.delay 0.05
   done;

@@ -315,53 +315,57 @@ let all_ints c = Array.for_all (function Value.Int _ -> true | _ -> false) c
 
 module Int_tbl = Hashtbl.Make (Int)
 
+(* The id of a boxed value: ids are dense, in first-seen order, under
+   [Value.equal]/[Value.hash]; [firsts] collects each id's first value. *)
+let intern ids firsts v =
+  match Val_tbl.find_opt ids v with
+  | Some k -> k
+  | None ->
+    let k = Vec.length firsts in
+    Val_tbl.add ids v k;
+    Vec.push firsts v;
+    k
+
+(* Int keys for a boxed key column, equal exactly when the values are
+   [Value.equal]: the ints themselves when every row is an Int, else
+   interned ids. [value_of k] boxes a key back (for an id, its first
+   value). *)
+let int_keys (c : Value.t array) =
+  if all_ints c then
+    (Array.map (function Value.Int i -> i | _ -> assert false) c,
+     fun k -> Value.Int k)
+  else begin
+    let ids = Val_tbl.create 64 and firsts = Vec.create (Value.Int 0) in
+    (Array.map (intern ids firsts) c, Vec.get firsts)
+  end
+
+(* The same for the two key columns of an equi-join: ints when both are
+   all Int, else ids interned over [build], with -1 for a [probe] value
+   that [build] never carries. *)
+let join_keys ~(build : Value.t array) ~(probe : Value.t array) =
+  if all_ints build && all_ints probe then
+    (fst (int_keys build), fst (int_keys probe))
+  else begin
+    let ids = Val_tbl.create 64 and firsts = Vec.create (Value.Int 0) in
+    let bk = Array.map (intern ids firsts) build in
+    ( bk,
+      Array.map
+        (fun v -> Option.value ~default:(-1) (Val_tbl.find_opt ids v))
+        probe )
+  end
+
 (* Group the rows of [t] by column [part] (None: one group), preserving
-   first-seen group order. Returns (group key option, row index array) list.
-   Integer group keys (the overwhelmingly common case: iter columns) take
-   an unboxed fast path. *)
+   first-seen group order, rows ascending within a group. Returns (group
+   key option, row index array) list. *)
 let group_rows t part =
   match part with
   | None ->
     [ (None, Array.init (Table.nrows t) (fun i -> i)) ]
   | Some pcol ->
-    let c = Table.col t pcol in
-    if all_ints c then begin
-      let order = Vec.create 0 in
-      let groups : int Vec.t Int_tbl.t = Int_tbl.create 64 in
-      for r = 0 to Table.nrows t - 1 do
-        let k = match c.(r) with Value.Int i -> i | _ -> assert false in
-        match Int_tbl.find_opt groups k with
-        | Some v -> Vec.push v r
-        | None ->
-          let v = Vec.create 0 in
-          Vec.push v r;
-          Int_tbl.add groups k v;
-          Vec.push order k
-      done;
-      Vec.fold_left
-        (fun acc k ->
-           (Some (Value.Int k), Vec.to_array (Int_tbl.find groups k)) :: acc)
-        [] order
-      |> List.rev
-    end
-    else begin
-      let order = Vec.create (Value.Int 0) in
-      let groups : int Vec.t Val_tbl.t = Val_tbl.create 64 in
-      for r = 0 to Table.nrows t - 1 do
-        let k = c.(r) in
-        match Val_tbl.find_opt groups k with
-        | Some v -> Vec.push v r
-        | None ->
-          let v = Vec.create 0 in
-          Vec.push v r;
-          Val_tbl.add groups k v;
-          Vec.push order k
-      done;
-      Vec.fold_left
-        (fun acc k -> (Some k, Vec.to_array (Val_tbl.find groups k)) :: acc)
-        [] order
-      |> List.rev
-    end
+    let keys, value_of = int_keys (Table.col t pcol) in
+    let idx = Int_index.build (Array.length keys) (Array.get keys) in
+    List.init (Int_index.groups idx) (fun g ->
+        (Some (value_of (Int_index.key idx g)), Int_index.group_rows idx g))
 
 let check_disjoint_schemas l r =
   Array.iter
@@ -397,106 +401,23 @@ let combine_rows l r li ri =
 (* Equi-join matching: the (left row, right row) index pairs, exposed
    separately from the table plumbing so the physical executor can reuse
    the exact same matching semantics (and row order) while building its
-   output with typed gathers instead of boxed tables. *)
+   output with typed gathers instead of boxed tables. The pairs come out
+   left row ascending, then right row ascending, on a flat
+   {!Basis.Int_index} over the right keys. *)
 let join_indices (lc : Value.t array) (rc : Value.t array) =
-  let nl = Array.length lc and nr = Array.length rc in
-  let li = Vec.create 0 and ri = Vec.create 0 in
-  if all_ints lc && all_ints rc then begin
-    (* unboxed fast path for integer keys (iter/bind joins) *)
-    let index : int Vec.t Int_tbl.t = Int_tbl.create (max 16 nr) in
-    for j = 0 to nr - 1 do
-      let k = match rc.(j) with Value.Int i -> i | _ -> assert false in
-      (match Int_tbl.find_opt index k with
-       | Some v -> Vec.push v j
-       | None ->
-         let v = Vec.create 0 in
-         Vec.push v j;
-         Int_tbl.add index k v)
-    done;
-    for i = 0 to nl - 1 do
-      let k = match lc.(i) with Value.Int x -> x | _ -> assert false in
-      match Int_tbl.find_opt index k with
-      | None -> ()
-      | Some v -> Vec.iter (fun j -> Vec.push li i; Vec.push ri j) v
-    done
-  end
-  else begin
-    let index : int Vec.t Val_tbl.t = Val_tbl.create (max 16 nr) in
-    for j = 0 to nr - 1 do
-      (match Val_tbl.find_opt index rc.(j) with
-       | Some v -> Vec.push v j
-       | None ->
-         let v = Vec.create 0 in
-         Vec.push v j;
-         Val_tbl.add index rc.(j) v)
-    done;
-    for i = 0 to nl - 1 do
-      match Val_tbl.find_opt index lc.(i) with
-      | None -> ()
-      | Some v -> Vec.iter (fun j -> Vec.push li i; Vec.push ri j) v
-    done
-  end;
-  (Vec.to_array li, Vec.to_array ri)
+  let rk, lk = join_keys ~build:rc ~probe:lc in
+  let idx = Int_index.build (Array.length rk) (Array.get rk) in
+  Int_index.probe_pairs idx (Array.get lk) 0 (Array.length lk)
 
-(* The same matching with the hash built on the LEFT column — chosen by
+(* The same matching with the index built on the LEFT column — chosen by
    the lowerer when cardinality estimates say the left side is smaller.
-   Matches are accumulated per left row while streaming the right side in
-   ascending order, then emitted left-major, so the output pair order is
-   IDENTICAL to [join_indices] (i ascending, each i's j's ascending): the
-   build side is a cost choice, never a semantic one. *)
+   The output pair order is IDENTICAL to [join_indices] (i ascending,
+   each i's j's ascending): the build side is a cost choice, never a
+   semantic one. *)
 let join_indices_build_left (lc : Value.t array) (rc : Value.t array) =
-  let nl = Array.length lc and nr = Array.length rc in
-  let matches : int Vec.t option array = Array.make nl None in
-  let push_match i j =
-    match matches.(i) with
-    | Some v -> Vec.push v j
-    | None ->
-      let v = Vec.create 0 in
-      Vec.push v j;
-      matches.(i) <- Some v
-  in
-  if all_ints lc && all_ints rc then begin
-    let index : int Vec.t Int_tbl.t = Int_tbl.create (max 16 nl) in
-    for i = 0 to nl - 1 do
-      let k = match lc.(i) with Value.Int x -> x | _ -> assert false in
-      (match Int_tbl.find_opt index k with
-       | Some v -> Vec.push v i
-       | None ->
-         let v = Vec.create 0 in
-         Vec.push v i;
-         Int_tbl.add index k v)
-    done;
-    for j = 0 to nr - 1 do
-      let k = match rc.(j) with Value.Int x -> x | _ -> assert false in
-      match Int_tbl.find_opt index k with
-      | None -> ()
-      | Some v -> Vec.iter (fun i -> push_match i j) v
-    done
-  end
-  else begin
-    let index : int Vec.t Val_tbl.t = Val_tbl.create (max 16 nl) in
-    for i = 0 to nl - 1 do
-      (match Val_tbl.find_opt index lc.(i) with
-       | Some v -> Vec.push v i
-       | None ->
-         let v = Vec.create 0 in
-         Vec.push v i;
-         Val_tbl.add index lc.(i) v)
-    done;
-    for j = 0 to nr - 1 do
-      match Val_tbl.find_opt index rc.(j) with
-      | None -> ()
-      | Some v -> Vec.iter (fun i -> push_match i j) v
-    done
-  end;
-  let li = Vec.create 0 and ri = Vec.create 0 in
-  Array.iteri
-    (fun i m ->
-       match m with
-       | None -> ()
-       | Some v -> Vec.iter (fun j -> Vec.push li i; Vec.push ri j) v)
-    matches;
-  (Vec.to_array li, Vec.to_array ri)
+  let lk, rk = join_keys ~build:lc ~probe:rc in
+  let idx = Int_index.build (Array.length lk) (Array.get lk) in
+  Int_index.pairs_build_left idx (Array.get rk) (Array.length rk)
 
 let eval_join l r lcol rcol =
   check_disjoint_schemas (Table.schema l) (Table.schema r);
@@ -841,28 +762,35 @@ let resolve_test store = function
   | N_any -> Xmldb.Node_test.Any_node
   | N_pi t -> Xmldb.Node_test.Pi_target t
 
-let eval_step ?tag_index ?(batch = true) store t axis test =
-  let test = resolve_test store test in
-  let itemc = Table.col t "item" in
-  let groups = group_rows t (Some "iter") in
-  let out = Vec.create [||] in
-  let eval_one =
-    match tag_index with
+(* The loop-lifted step over flat inputs, shared by the boxed kernel
+   below and the physical executor's typed step: the tag index (when the
+   engine has one and the step fits it) plugs in as the per-group
+   evaluator; [code_eval] turns the batched scans on. *)
+let lifted_step env axis test ~n ~iter ~frag ~pre =
+  let test = resolve_test env.store test in
+  let eval =
+    match env.tag_index with
     | Some ti when Xmldb.Tag_index.applicable axis test ->
-      Xmldb.Tag_index.step ti axis test
-    | _ -> Xmldb.Staircase.step ~batch store axis test
+      Some (Xmldb.Tag_index.evaluator ti axis test)
+    | _ -> None
   in
-  List.iter
-    (fun (key, rows) ->
-       let iter = Option.get key in
-       let ctxs = Array.map (fun r -> node_of itemc.(r)) rows in
-       let result = eval_one ctxs in
-       Array.iter
-         (fun n -> Vec.push out [| iter; Value.Node n |])
-         result)
-    groups;
-  Table.of_rows [| "iter"; "item" |]
-    (Vec.fold_left (fun acc r -> r :: acc) [] out |> List.rev)
+  Xmldb.Staircase.lifted ~batch:env.code_eval ?eval env.store axis test ~n
+    ~iter ~frag ~pre
+
+let eval_step env t axis test =
+  let itemc = Table.col t "item" in
+  let keys, value_of = int_keys (Table.col t "iter") in
+  let r =
+    lifted_step env axis test ~n:(Table.nrows t) ~iter:(Array.get keys)
+      ~frag:(fun i -> Xmldb.Node_id.frag (node_of itemc.(i)))
+      ~pre:(fun i -> Xmldb.Node_id.pre (node_of itemc.(i)))
+  in
+  let n = Array.length r.Xmldb.Staircase.pres in
+  Table.create [| "iter"; "item" |]
+    [| Array.map value_of r.iters;
+       Array.init n (fun i ->
+           Value.Node (Xmldb.Node_id.make ~frag:r.frags.(i) ~pre:r.pres.(i))) |]
+    n
 
 let eval_doc store t =
   let itemc = Table.col t "item" in
@@ -882,17 +810,11 @@ let eval_elem store qn ct =
   let qiter = Table.col qn "iter" and qitem = Table.col qn "item" in
   let citer = Table.col ct "iter" and cpos = Table.col ct "pos" in
   let citem = Table.col ct "item" in
-  (* group content by iter, each group sorted by pos *)
-  let content : (int * Value.t) Vec.t Val_tbl.t = Val_tbl.create 64 in
-  for r = 0 to Table.nrows ct - 1 do
-    let entry = (Value.int_value cpos.(r), citem.(r)) in
-    match Val_tbl.find_opt content citer.(r) with
-    | Some v -> Vec.push v entry
-    | None ->
-      let v = Vec.create (0, Value.Int 0) in
-      Vec.push v entry;
-      Val_tbl.add content citer.(r) v
-  done;
+  (* group content by iter on a flat index (rows ascending per group),
+     each group sorted by pos *)
+  let ckeys, qkeys = join_keys ~build:citer ~probe:qiter in
+  let content = Int_index.build (Array.length ckeys) (Array.get ckeys) in
+  let cposv = Array.map Value.int_value cpos in
   let b = Xmldb.Doc_store.Builder.create store in
   let n = Table.nrows qn in
   for r = 0 to n - 1 do
@@ -903,10 +825,13 @@ let eval_elem store qn ct =
       | v -> Err.dynamic "element name must be a QName, got %s" (Value.type_name v)
     in
     Xmldb.Doc_store.Builder.start_element b name;
-    (match Val_tbl.find_opt content qiter.(r) with
-     | None -> ()
-     | Some v ->
-       let items = Vec.to_array v in
+    (match Int_index.find content qkeys.(r) with
+     | -1 -> ()
+     | g ->
+       let items =
+         Array.map (fun i -> (cposv.(i), citem.(i)))
+           (Int_index.group_rows content g)
+       in
        Array.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2) items;
        let prev_atomic = ref false in
        Array.iter
@@ -1126,8 +1051,7 @@ let eval_op env op (inputs : Table.t list) : Table.t =
   | Aggr { res; agg; arg; part; order; _ } ->
     eval_aggr env.store (one ()) res agg arg part order
   | Step { axis; test; _ } ->
-    eval_step ?tag_index:env.tag_index ~batch:env.code_eval env.store (one ())
-      axis test
+    eval_step env (one ()) axis test
   | Doc _ -> eval_doc env.store (one ())
   | Elem _ ->
     let q, c = two () in

@@ -11,8 +11,10 @@
    shared: the fused kernel is memoized under the head's id.
 
    Everything else maps 1:1 onto a physical kernel — typed where
-   [Physical] has a typed implementation, [K_boxed] (the boxed kernel
-   called through table conversions) where it does not. Lowering is
+   [Physical] has a typed implementation (including the step operator ⊘,
+   which lowers to the loop-lifted [K_step]; there is no [boxed:⊘]),
+   [K_boxed] (the boxed kernel called through table conversions) where
+   it does not. Lowering is
    strictly post-logical: it never changes plan shapes, so the logical
    optimizer's output (and its golden tests) are untouched.
 
@@ -29,7 +31,7 @@
    aggregates (count/sum/min/max) parallelize, while Rownum — and
    everything whose matching logic is inherently sequential (Distinct's
    first-wins dedup, any hash build that is itself the output, Union's
-   append) or boxed — stays serial. *)
+   append, the step's single lifted pass) or boxed — stays serial. *)
 
 type chain = Physical.chain_op list
 
@@ -81,7 +83,7 @@ let parallelizable (pop : Physical.pop) =
     | Plan.A_count | Plan.A_sum | Plan.A_min | Plan.A_max -> true
     | _ -> false)
   | Physical.K_project _ | Physical.K_distinct | Physical.K_union
-  | Physical.K_rownum _ | Physical.K_boxed _ -> false
+  | Physical.K_rownum _ | Physical.K_step _ | Physical.K_boxed _ -> false
 
 let lower ?(types = fun (_ : Plan.node) -> ([] : (string * Column.ty) list))
     ?card ?(merge_hint = fun (_ : Plan.node) -> (None : int option))
@@ -161,9 +163,11 @@ let lower ?(types = fun (_ : Plan.node) -> ([] : (string * Column.ty) list))
               [ go left; go right ] 1
           | Plan.Aggr { input; res; agg; arg; part; order } ->
             mk (Physical.K_aggr { res; agg; arg; part; order }) [ go input ] 1
+          | Plan.Step { input; axis; test } ->
+            mk (Physical.K_step { axis; test }) [ go input ] 1
           | op ->
-            (* Lit, Cross, Step, node construction, Range, Textify,
-               Id_lookup, Doc: boxed kernels over converted inputs *)
+            (* Lit, Cross, node construction, Range, Textify, Id_lookup,
+               Doc: boxed kernels over converted inputs *)
             mk (Physical.K_boxed op) (List.map go (Plan.children op)) 1)
       in
       Hashtbl.add memo n.Plan.id p;

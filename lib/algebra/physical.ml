@@ -18,6 +18,12 @@
        Attach/Fun/Select chains into one [K_pipe] kernel that runs the
        whole chain in a single pass over the batch.
 
+   The step operator ⊘ has a typed kernel ([K_step]): one loop-lifted
+   [Staircase.lifted] pass over the whole (iter, item) batch, int and
+   node columns in, int and node columns out. Int-keyed joins, semijoin
+   key sets, single-column distinct and grouped aggregation run on the
+   flat [Basis.Int_index] (no heap block per key).
+
    Everything without a typed implementation falls back to the boxed
    kernels ([Kernels.eval_op]) through cached table conversions, so the
    physical layer never has to be complete to be correct. Matching
@@ -113,6 +119,8 @@ type pop =
       part : string option;
       order : string option;
     }
+  | K_step of { axis : Xmldb.Axis.t; test : Plan.ntest }
+      (* the loop-lifted step ⊘ over an (iter, item) batch *)
   | K_boxed of Plan.op           (* no typed implementation: boxed kernel *)
 
 type pnode = {
@@ -145,6 +153,9 @@ let pop_name = function
   | K_semijoin { anti = true; build_left = true; _ } -> "antijoin(build:left)"
   | K_semijoin { anti = true; _ } -> "antijoin"
   | K_aggr _ -> "aggr"
+  | K_step { axis; test } ->
+    Printf.sprintf "step:⊘_{%s::%s}" (Xmldb.Axis.to_string axis)
+      (Plan_pp.ntest_str test)
   | K_boxed op -> "boxed:" ^ Plan.op_symbol op
 
 (* ---------------------------------------------------------------- batches *)
@@ -154,8 +165,8 @@ let pop_name = function
    present, all of [0 .. base-1] otherwise.
 
    A column entering from the boxed world stays [Mixed] in [cols] — the
-   boxed view must remain zero-copy, because boxed kernels (steps,
-   construction) sit between most typed ones and a retype that *replaced*
+   boxed view must remain zero-copy, because boxed kernels (node
+   construction, say) sit between many typed ones and a retype that *replaced*
    the boxed array would force a full re-boxing pass at the next boxed
    boundary. Typed kernels instead consult [typed], a lazily filled
    per-column cache of the retyped view ([Some Mixed] records a scan that
@@ -954,40 +965,17 @@ let join_output (l : batch) (r : batch) li ri =
     base = n;
     table = None }
 
-(* Matching key pairs via an int hash join — the boxed fast path's exact
-   insertion/probe order, so the output row order agrees with it. The
-   build side is sequential; the probe side (outer loop over [n1]) may
-   fan out over morsels: the index is frozen by then (concurrent
-   [Hashtbl] reads of an unmutated table are safe), and per-morsel match
-   pairs concatenated in morsel order reproduce the serial i-outer,
-   j-inner enumeration. *)
+(* Matching key pairs via an int equi-join on a flat {!Int_index} over
+   the right keys: the (i asc, j asc) pair order of
+   [Kernels.join_indices]. The build is sequential; the probe side (outer
+   loop over [n1]) may fan out over morsels: the index is frozen by then,
+   and per-morsel match pairs concatenated in morsel order reproduce the
+   serial i-outer, j-inner enumeration. Dense right keys (a [#] column)
+   take the index's positional path. *)
 let int_join_indices ctx ~par g1 n1 g2 n2 =
-  let module IT = Kernels.Int_tbl in
-  let index : int Vec.t IT.t = IT.create (max 16 n2) in
-  for j = 0 to n2 - 1 do
-    let k = g2 j in
-    match IT.find_opt index k with
-    | Some v -> Vec.push v j
-    | None ->
-      let v = Vec.create 0 in
-      Vec.push v j;
-      IT.add index k v
-  done;
-  let probe lo hi =
-    let li = Vec.create 0 and ri = Vec.create 0 in
-    for i = lo to hi - 1 do
-      match IT.find_opt index (g1 i) with
-      | None -> ()
-      | Some v ->
-        Vec.iter
-          (fun j ->
-             Vec.push li i;
-             Vec.push ri j)
-          v
-    done;
-    (Vec.to_array li, Vec.to_array ri)
-  in
-  concat_pairs (map_spans ctx ~par n1 probe)
+  let idx = Int_index.build n2 g2 in
+  concat_pairs
+    (map_spans ctx ~par n1 (fun lo hi -> Int_index.probe_pairs idx g1 lo hi))
 
 (* Normalized-code key readers for an equality join: [Some (g1, g2)]
    when the key pair can hash and compare as machine ints with no string
@@ -1051,49 +1039,10 @@ let code_key_readers ctx lc rc =
   | _ -> None
 
 (* Build-left over int key readers: same (i asc, j asc within i) pair
-   order as [Kernels.join_indices_build_left] — matches accumulate per
-   left row while the right side streams ascending, then emit
-   left-major. Serial by construction (flipped joins never fan out). *)
+   order as [Kernels.join_indices_build_left]. Serial by construction
+   (flipped joins never fan out). *)
 let int_join_indices_build_left g1 n1 g2 n2 =
-  let module IT = Kernels.Int_tbl in
-  let index : int Vec.t IT.t = IT.create (max 16 n1) in
-  for i = 0 to n1 - 1 do
-    let k = g1 i in
-    match IT.find_opt index k with
-    | Some v -> Vec.push v i
-    | None ->
-      let v = Vec.create 0 in
-      Vec.push v i;
-      IT.add index k v
-  done;
-  let matches : int Vec.t option array = Array.make n1 None in
-  for j = 0 to n2 - 1 do
-    match IT.find_opt index (g2 j) with
-    | None -> ()
-    | Some v ->
-      Vec.iter
-        (fun i ->
-           match matches.(i) with
-           | Some m -> Vec.push m j
-           | None ->
-             let m = Vec.create 0 in
-             Vec.push m j;
-             matches.(i) <- Some m)
-        v
-  done;
-  let li = Vec.create 0 and ri = Vec.create 0 in
-  Array.iteri
-    (fun i m ->
-       match m with
-       | None -> ()
-       | Some v ->
-         Vec.iter
-           (fun j ->
-              Vec.push li i;
-              Vec.push ri j)
-           v)
-    matches;
-  (Vec.to_array li, Vec.to_array ri)
+  Int_index.pairs_build_left (Int_index.build n1 g1) g2 n2
 
 let k_join ctx ~par ~build_left lb rb lcol rcname =
   check_disjoint lb.schema rb.schema;
@@ -1284,15 +1233,11 @@ let k_semijoin ctx ~par ~anti ~build_left lb rb on =
     | Some (g1, g2) ->
       bump ctx Profile.count_code_pred;
       if build_left then bump ctx Profile.count_build_flip;
-      let module IT = Kernels.Int_tbl in
-      let set : unit IT.t = IT.create (max 16 rb.nrows) in
-      for j = 0 to rb.nrows - 1 do
-        IT.replace set (g2 j) ()
-      done;
+      let set = Int_index.build rb.nrows g2 in
       let probe lo hi =
         let keep = Vec.create 0 in
         for i = lo to hi - 1 do
-          if IT.mem set (g1 i) <> anti then Vec.push keep i
+          if Int_index.find set (g1 i) >= 0 <> anti then Vec.push keep i
         done;
         Vec.to_array keep
       in
@@ -1335,19 +1280,11 @@ let k_distinct ctx b =
   let keep =
     match (if n = 1 then int_reader (retyped ctx b 0) else None) with
     | Some g ->
-      (* single int column: dedup without boxing *)
-      let module IT = Kernels.Int_tbl in
-      let seen : unit IT.t = IT.create (max 16 b.nrows) in
-      let keep = Vec.create 0 in
-      let k = ref 0 in
-      iter_sel b (fun r ->
-          let key = g r in
-          if not (IT.mem seen key) then begin
-            IT.add seen key ();
-            Vec.push keep !k
-          end;
-          incr k);
-      Vec.to_array keep
+      (* single int column: dedup without boxing — the first visible row
+         of each key, ascending *)
+      let vis = match b.sel with None -> g | Some s -> fun k -> g s.(k) in
+      let idx = Int_index.build b.nrows vis in
+      Array.init (Int_index.groups idx) (Int_index.first idx)
     | None ->
       let cols = Array.init n (fun i -> boxed_vis ctx b b.schema.(i)) in
       let seen = Kernels.Row_tbl.create (max 16 b.nrows) in
@@ -1568,64 +1505,42 @@ let k_rownum ctx b res order part merge_hint =
     table = None }
 
 (* Int-keyed grouped fold with partial aggregation over morsels: every
-   morsel folds its contiguous range of visible rows into a private
-   (first-seen key order, accumulator table) pair; the coordinator merges
-   the partials *in morsel order*, combining accumulators for keys seen
-   by several morsels. Because morsels are contiguous, in-order slices of
-   the scan, walking their first-seen key sequences in morsel order while
-   skipping already-merged keys reproduces the global first-seen group
-   order of the serial scan exactly ([Kernels.group_rows] order). The
+   morsel folds its contiguous range of visible rows on a flat
+   [Int_index] into private (keys, accumulators) arrays in first-seen
+   key order; the coordinator folds the concatenated partials *in morsel
+   order* the same way, combining accumulators for keys seen by several
+   morsels. Because morsels are contiguous, in-order slices of the scan,
+   first-seen order over the concatenated partial keys is the global
+   first-seen group order of the serial scan exactly
+   ([Kernels.group_rows] order). The
    combiner must be associative over row-range splits — count, sum, min,
    max are — and the fold of a single morsel is the serial fold, so the
    serial path is just the one-morsel case. *)
 let int_grouped ctx ~par b ~(g : int -> int) ~(of_row : int -> int)
     ~(combine : int -> int -> int) =
-  let module IT = Kernels.Int_tbl in
+  (* fold [m] values, keyed [key k], valued [value k], into per-key
+     accumulators in first-seen key order on a flat index *)
+  let fold_keyed m key value =
+    let idx = Int_index.build m key in
+    let accs = Array.make (Int_index.groups idx) 0 in
+    for k = 0 to m - 1 do
+      let gr = Int_index.group_of idx k in
+      accs.(gr) <-
+        (if Int_index.first idx gr = k then value k
+         else combine accs.(gr) (value k))
+    done;
+    (Array.init (Int_index.groups idx) (Int_index.key idx), accs)
+  in
+  let row = match b.sel with None -> Fun.id | Some s -> Array.get s in
   let fold lo hi =
-    let order_v = Vec.create 0 in
-    let accs : int ref IT.t = IT.create 64 in
-    let step r =
-      let k = g r in
-      match IT.find_opt accs k with
-      | Some a -> a := combine !a (of_row r)
-      | None ->
-        IT.add accs k (ref (of_row r));
-        Vec.push order_v k
-    in
-    (match b.sel with
-     | None -> for r = lo to hi - 1 do step r done
-     | Some s -> for i = lo to hi - 1 do step s.(i) done);
-    (order_v, accs)
+    fold_keyed (hi - lo) (fun k -> g (row (lo + k))) (fun k -> of_row (row (lo + k)))
   in
-  let parts = map_spans ctx ~par b.nrows fold in
-  let order_v, accs =
-    match parts with
-    | [| one |] -> one
-    | _ ->
-      let order_v = Vec.create 0 in
-      let accs : int ref IT.t = IT.create 64 in
-      Array.iter
-        (fun (ov, av) ->
-           Vec.iter
-             (fun k ->
-                let v = !(IT.find av k) in
-                match IT.find_opt accs k with
-                | Some a -> a := combine !a v
-                | None ->
-                  IT.add accs k (ref v);
-                  Vec.push order_v k)
-             ov)
-        parts;
-      (order_v, accs)
-  in
-  let n = Vec.length order_v in
-  let keys = Array.make n 0 and vals = Array.make n 0 in
-  Vec.iteri
-    (fun i k ->
-       keys.(i) <- k;
-       vals.(i) <- !(IT.find accs k))
-    order_v;
-  (keys, vals)
+  match map_spans ctx ~par b.nrows fold with
+  | [| one |] -> one
+  | parts ->
+    let keys = Array.concat (Array.to_list (Array.map fst parts)) in
+    let vals = Array.concat (Array.to_list (Array.map snd parts)) in
+    fold_keyed (Array.length keys) (Array.get keys) (Array.get vals)
 
 (* Aggregation: typed paths for the order-indifferent shapes — count, and
    integer sum/min/max, grouped by an int column (iter grouping, the
@@ -1675,6 +1590,39 @@ let k_aggr ctx ~par b res agg arg part order =
     | _ -> boxed ())
   | _ -> boxed ()
 
+(* The loop-lifted step ⊘: one [Staircase.lifted] call over the whole
+   (iter, item) batch, reading an int iter column ([Ints]/[Seq]/[Const])
+   and a [Nodes] item column through the selection, and emitting [Ints]
+   and [Nodes] — no table on either side. Any other input (a non-node
+   item, say) takes the boxed kernel, which reports the same error the
+   boxed executor does. *)
+let k_step ctx b axis test =
+  let vis f = match b.sel with None -> f | Some s -> fun k -> f s.(k) in
+  let inputs =
+    if b.nrows = 0 then Some ((fun _ -> 0), [||], [||])
+    else
+      match (int_reader (rcol ctx b "iter"), rcol ctx b "item") with
+      | Some gi, Column.Nodes { frag; pre } -> Some (gi, frag, pre)
+      | _ -> None
+  in
+  match inputs with
+  | None -> of_table (Kernels.eval_step ctx.env (to_table ctx b) axis test)
+  | Some (gi, frag, pre) ->
+    let r =
+      Kernels.lifted_step ctx.env axis test ~n:b.nrows ~iter:(vis gi)
+        ~frag:(vis (Array.get frag)) ~pre:(vis (Array.get pre))
+    in
+    let n = Array.length r.Xmldb.Staircase.iters in
+    { schema = [| "iter"; "item" |];
+      cols =
+        [| Column.Ints r.iters;
+           Column.Nodes { frag = r.frags; pre = r.pres } |];
+      typed = [| None; None |];
+      sel = None;
+      nrows = n;
+      base = n;
+      table = None }
+
 (* ------------------------------------------------------------- dispatcher *)
 
 let exec_kernel ctx (p : pnode) (inputs : batch list) : batch =
@@ -1710,6 +1658,7 @@ let exec_kernel ctx (p : pnode) (inputs : batch list) : batch =
     k_semijoin ctx ~par ~anti ~build_left l r on
   | K_aggr { res; agg; arg; part; order } ->
     k_aggr ctx ~par (one ()) res agg arg part order
+  | K_step { axis; test } -> k_step ctx (one ()) axis test
   | K_boxed op ->
     let tables = List.map (to_table ctx) inputs in
     of_table (Kernels.eval_op ctx.env op tables)

@@ -16,7 +16,9 @@ type node_stat = {
    machinery did and, more importantly, how much it avoided. *)
 type phys = {
   mutable kernels : int;      (* physical kernel invocations *)
-  mutable fused_ops : int;    (* logical operators folded into fused kernels *)
+  mutable fused_ops : int;    (* logical operators covered by the invoked
+                                 kernels (the sum of fusion widths); the
+                                 ops fused away are [fused_ops - kernels] *)
   mutable rows_in : int;      (* input rows across all kernel invocations *)
   mutable rows_out : int;     (* output rows across all kernel invocations *)
   mutable mat_avoided : int;  (* results delivered as a selection vector /
@@ -74,6 +76,10 @@ let locked t f =
   | exception e -> Mutex.unlock t.mu; raise e
 
 let phys t = t.phys
+
+(* Each kernel stands for one of the operators it covers; the rest were
+   folded into it. *)
+let fused_away p = p.fused_ops - p.kernels
 
 let add_kernel t ~fused ~rows_in ~rows_out =
   locked t (fun () ->
@@ -172,7 +178,7 @@ let pp fmt t =
     Format.fprintf fmt
       "physical: %d kernels (%d logical ops fused away), %d rows in, \
        %d rows out@."
-      p.kernels p.fused_ops p.rows_in p.rows_out;
+      p.kernels (fused_away p) p.rows_in p.rows_out;
     Format.fprintf fmt
       "physical: %d materializations avoided, %d forced, %d columns retyped@."
       p.mat_avoided p.mat_forced p.retypes;

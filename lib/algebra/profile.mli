@@ -17,7 +17,9 @@ type t
     backend ran with this profile. *)
 type phys = {
   mutable kernels : int;      (** physical kernel invocations *)
-  mutable fused_ops : int;    (** logical operators folded into fused kernels *)
+  mutable fused_ops : int;
+      (** logical operators covered by the invoked kernels (the sum of
+          their fusion widths); see {!fused_away} *)
   mutable rows_in : int;      (** input rows summed over kernel invocations *)
   mutable rows_out : int;     (** output rows summed over kernel invocations *)
   mutable mat_avoided : int;  (** results delivered as selection vector /
@@ -50,6 +52,10 @@ type phys = {
 val create : unit -> t
 
 val phys : t -> phys
+
+(** Logical operators fused away: covered minus kernels
+    ([fused_ops - kernels]). A plan with no fusion reports 0. *)
+val fused_away : phys -> int
 
 (** One physical kernel invocation: [fused] logical ops it covered,
     input and output row counts. *)

@@ -4,8 +4,14 @@
 
 type 'a t
 
-(** [create ?capacity dummy] makes an empty vector. [dummy] fills unused
-    slots and is never observed. *)
+(** [create ?capacity dummy] makes an empty vector. The positional
+    argument is the {e fill element}, not a size: it fills the unused
+    slots and is never observed, so [create 0] is an empty int vector
+    with room for 16 elements. [capacity] (default 16, at least 1) is
+    the number of slots allocated up front. Code that makes one vector
+    per key or per group pays that allocation every time; it should
+    pass a small [~capacity] or use a flat structure such as
+    {!Int_index}. *)
 val create : ?capacity:int -> 'a -> 'a t
 
 val length : 'a t -> int

@@ -57,79 +57,80 @@ let applicable (axis : Axis.t) (test : Node_test.t) =
     Node_test.Name _ -> true
   | _ -> false
 
-(* Indexed evaluation; same contract as Staircase.step: duplicate-free,
-   document order. The caller guarantees [applicable]. *)
-let step t (axis : Axis.t) (test : Node_test.t) (contexts : Node_id.t array) =
+(* The indexed per-(iteration, fragment) evaluator that plugs into the
+   lifted step ([Staircase.lifted ~eval]); the caller guarantees
+   [applicable]. Descendant and attribute emissions come out ascending;
+   child steps over nested contexts may interleave and report so. *)
+let evaluator t (axis : Axis.t) (test : Node_test.t) : Staircase.evaluator =
   let name_id =
     match test with
     | Node_test.Name id -> id
     | _ -> Err.internal "Tag_index.step: name test expected"
   in
-  if name_id < 0 then [||]
-  else begin
-    let groups = Staircase.group_contexts contexts in
-    let out = Vec.create (Node_id.make ~frag:0 ~pre:0) in
-    List.iter
-      (fun (frag_id, ctxs) ->
-         let f = Doc_store.frag t.store frag_id in
-         let attr = axis = Axis.Attribute in
-         let s = stream t frag_id name_id ~attr in
-         let emit pre = Vec.push out (Node_id.make ~frag:frag_id ~pre) in
-         match axis with
-         | Axis.Descendant | Axis.Descendant_or_self ->
-           (* staircase pruning over the streams: never rescan a region *)
-           let covered_end = ref (-1) in
-           Array.iter
-             (fun pre ->
-                let hi = pre + Doc_store.size_at f pre in
-                let lo =
-                  if axis = Axis.Descendant_or_self then pre else pre + 1
-                in
-                let lo = max lo (!covered_end + 1) in
-                let i = ref (lower_bound s lo) in
-                while !i < Array.length s && s.(!i) <= hi do
-                  emit s.(!i);
-                  incr i
-                done;
-                covered_end := max !covered_end hi)
-             ctxs
-         | Axis.Child ->
-           (* stream positions inside the subtree whose parent is the
-              context node *)
-           let last = ref (-1) in
-           let sorted = ref true in
-           Array.iter
-             (fun pre ->
-                let hi = pre + Doc_store.size_at f pre in
-                let i = ref (lower_bound s (pre + 1)) in
-                while !i < Array.length s && s.(!i) <= hi do
-                  if Doc_store.parent_at f s.(!i) = pre then begin
-                    if s.(!i) < !last then sorted := false;
-                    last := s.(!i);
-                    emit s.(!i)
-                  end;
-                  incr i
-                done)
-             ctxs;
-           ignore !sorted
-         | Axis.Attribute ->
-           Array.iter
-             (fun pre ->
-                (* attributes sit immediately after their owner *)
-                let i = ref (lower_bound s (pre + 1)) in
-                let continue_ = ref true in
-                while !continue_ && !i < Array.length s do
-                  let p = s.(!i) in
-                  if Doc_store.parent_at f p = pre then begin
-                    emit p;
-                    incr i
-                  end
-                  else if p <= pre + Doc_store.size_at f pre then incr i
-                  else continue_ := false
-                done)
-             ctxs
-         | _ -> Err.internal "Tag_index.step: unsupported axis")
-      groups;
-    (* child steps over nested contexts may interleave; normalize *)
-    Staircase.sort_dedup out
-  end
+  let attr = axis = Axis.Attribute in
+  fun frag_id ctxs lo hi out ->
+    if name_id < 0 then true
+    else begin
+      let f = Doc_store.frag t.store frag_id in
+      let s = stream t frag_id name_id ~attr in
+      let emit pre = Staircase.emit out frag_id pre in
+      match axis with
+      | Axis.Descendant | Axis.Descendant_or_self ->
+        (* staircase pruning over the streams: never rescan a region *)
+        let covered_end = ref (-1) in
+        for c = lo to hi - 1 do
+          let pre = ctxs.(c) in
+          let hi = pre + Doc_store.size_at f pre in
+          let lo = if axis = Axis.Descendant_or_self then pre else pre + 1 in
+          let lo = max lo (!covered_end + 1) in
+          let i = ref (lower_bound s lo) in
+          while !i < Array.length s && s.(!i) <= hi do
+            emit s.(!i);
+            incr i
+          done;
+          covered_end := max !covered_end hi
+        done;
+        true
+      | Axis.Child ->
+        (* stream positions inside the subtree whose parent is the
+           context node *)
+        let last = ref (-1) in
+        let sorted = ref true in
+        for c = lo to hi - 1 do
+          let pre = ctxs.(c) in
+          let hi = pre + Doc_store.size_at f pre in
+          let i = ref (lower_bound s (pre + 1)) in
+          while !i < Array.length s && s.(!i) <= hi do
+            if Doc_store.parent_at f s.(!i) = pre then begin
+              if s.(!i) < !last then sorted := false;
+              last := s.(!i);
+              emit s.(!i)
+            end;
+            incr i
+          done
+        done;
+        !sorted
+      | Axis.Attribute ->
+        for c = lo to hi - 1 do
+          let pre = ctxs.(c) in
+          (* attributes sit immediately after their owner *)
+          let i = ref (lower_bound s (pre + 1)) in
+          let continue_ = ref true in
+          while !continue_ && !i < Array.length s do
+            let p = s.(!i) in
+            if Doc_store.parent_at f p = pre then begin
+              emit p;
+              incr i
+            end
+            else if p <= pre + Doc_store.size_at f pre then incr i
+            else continue_ := false
+          done
+        done;
+        true
+      | _ -> Err.internal "Tag_index.step: unsupported axis"
+    end
+
+(* Indexed evaluation; same contract as Staircase.step: duplicate-free,
+   document order. The caller guarantees [applicable]. *)
+let step t axis test contexts =
+  Staircase.step ~eval:(evaluator t axis test) t.store axis test contexts

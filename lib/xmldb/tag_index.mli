@@ -19,6 +19,10 @@ val create : Doc_store.t -> t
     (child/descendant/descendant-or-self/attribute with a name test.) *)
 val applicable : Axis.t -> Node_test.t -> bool
 
+(** The indexed per-group evaluator for {!Staircase.lifted} (and
+    {!Staircase.step}). Only call when {!applicable} holds. *)
+val evaluator : t -> Axis.t -> Node_test.t -> Staircase.evaluator
+
 (** Same contract as {!Staircase.step} — duplicate-free results in
     document order. Only call when {!applicable} holds. *)
 val step : t -> Axis.t -> Node_test.t -> Node_id.t array -> Node_id.t array

@@ -447,6 +447,92 @@ let prop_distinct_idempotent =
        let d2 = Eval.run (store ()) (Plan.distinct b (Plan.distinct b t)) in
        Table.nrows d1 = Table.nrows d2)
 
+(* Flat int equi-joins against the nested-loop oracle: every (i, j) with
+   equal keys, i ascending, then j ascending. Key shapes: duplicates in a
+   small range, negative keys, dense runs (the positional path) with and
+   without a gap, and empty sides; both build sides, the boxed kernels
+   on int and on non-int (interned) keys, and the physical int joins. *)
+let gen_keys =
+  let open QCheck2.Gen in
+  let* len = int_bound 30 in
+  oneof
+    [ list_repeat len (int_range (-4) 4);                  (* duplicates *)
+      list_repeat len (int_range (-1000) (-990));          (* negative *)
+      (let* start = int_range (-5) 5 in                    (* dense run *)
+       return (List.init len (fun i -> start + i)));
+      (let* start = int_range (-5) 5 in                    (* gapped run *)
+       let* gap = int_bound (max 0 (len - 1)) in
+       return (List.init len (fun i -> if i < gap then start + i else start + i + 1)));
+      return [] ]
+
+let prop_int_join =
+  QCheck2.Test.make ~count:300 ~name:"flat int join = nested loop, pair order"
+    QCheck2.Gen.(pair gen_keys gen_keys)
+    (fun (lk, rk) ->
+       let la = Array.of_list lk and ra = Array.of_list rk in
+       let nl = Array.length la and nr = Array.length ra in
+       let want =
+         List.concat
+           (List.init nl (fun i ->
+                List.filter_map
+                  (fun j -> if la.(i) = ra.(j) then Some (i, j) else None)
+                  (List.init nr Fun.id)))
+       in
+       let pairs (li, ri) = List.combine (Array.to_list li) (Array.to_list ri) in
+       let ints a = Array.map (fun k -> Value.Int k) a in
+       let strs a = Array.map (fun k -> Value.Str (string_of_int k)) a in
+       let ctx = Physical.create (store ()) in
+       let got =
+         [ ("index build right",
+            Basis.Int_index.probe_pairs
+              (Basis.Int_index.build nr (Array.get ra)) (Array.get la) 0 nl);
+           ("index build left",
+            Basis.Int_index.pairs_build_left
+              (Basis.Int_index.build nl (Array.get la)) (Array.get ra) nr);
+           ("boxed int", Kernels.join_indices (ints la) (ints ra));
+           ("boxed int build left",
+            Kernels.join_indices_build_left (ints la) (ints ra));
+           ("boxed interned", Kernels.join_indices (strs la) (strs ra));
+           ("boxed interned build left",
+            Kernels.join_indices_build_left (strs la) (strs ra));
+           ("physical",
+            Physical.int_join_indices ctx ~par:false (Array.get la) nl
+              (Array.get ra) nr);
+           ("physical build left",
+            Physical.int_join_indices_build_left (Array.get la) nl
+              (Array.get ra) nr) ]
+       in
+       List.for_all
+         (fun (name, p) ->
+            pairs p = want
+            || QCheck2.Test.fail_reportf "%s differs from the nested loop" name)
+         got)
+
+(* A non-node context raises the error of the first group (first-seen
+   iter order) that holds one, at its first such row — not the first bad
+   row overall. Here iter 1's rows 0 and 2 come first; row 2's integer is
+   reported, though row 1 (iter 2) holds a string. Both executors. *)
+let test_step_error_choice () =
+  let st = store () in
+  let root = Xmldb.Xml_parser.load_document st ~uri:"t.xml" "<a><b/></a>" in
+  let b = Plan.builder () in
+  let t =
+    Plan.lit b [| "iter"; "item" |]
+      [ [| v_int 1; Value.Node root |]; [| v_int 2; v_str "x" |];
+        [| v_int 1; v_int 5 |] ]
+  in
+  let p = Plan.step b t Xmldb.Axis.Child Plan.N_any in
+  let outcome f =
+    match f () with
+    | (_ : Table.t) -> "ok"
+    | exception Basis.Err.Dynamic_error m -> m
+  in
+  let want = "expected a node, got xs:integer" in
+  Alcotest.(check string) "boxed executor" want
+    (outcome (fun () -> Eval.run st p));
+  Alcotest.(check string) "physical executor" want
+    (outcome (fun () -> Physical.run st (Lower.lower p)))
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -473,6 +559,7 @@ let () =
       ( "store-ops",
         [ Alcotest.test_case "step+doc" `Quick test_step_doc;
           Alcotest.test_case "step dedup per iter" `Quick test_step_dedup_per_iter;
+          Alcotest.test_case "step error choice" `Quick test_step_error_choice;
           Alcotest.test_case "elem construction" `Quick test_elem_construction;
           Alcotest.test_case "elem copies nodes" `Quick test_elem_copies_nodes;
           Alcotest.test_case "attr+text construction" `Quick test_attr_text_construction ] );
@@ -482,5 +569,5 @@ let () =
           Alcotest.test_case "plan printing" `Quick test_plan_pp ] );
       qsuite "properties"
         [ prop_rownum_dense; prop_rowid_unique; prop_join_cross_select;
-          prop_distinct_idempotent ];
+          prop_distinct_idempotent; prop_int_join ];
     ]

@@ -427,6 +427,43 @@ let test_rwlock_writes_exclusive () =
   (* a plain ref: only writer exclusivity makes this count exact *)
   Alcotest.(check int) "no lost updates" 6_000 !counter
 
+(* ------------------------------------------------------------ int index *)
+
+(* Groups in first-seen key order, each chaining its rows ascending;
+   a dense run takes the positional path with the same answers. *)
+let int_index_prop =
+  QCheck2.Test.make ~count:300 ~name:"int index groups = first-seen scan"
+    QCheck2.Gen.(
+      oneof
+        [ list_size (int_bound 40) (int_range (-5) 5);
+          (let* start = int_range (-100) 100 and* len = int_bound 40 in
+           return (List.init len (fun i -> start + i))) ])
+    (fun keys ->
+       let a = Array.of_list keys in
+       let n = Array.length a in
+       let idx = Basis.Int_index.build n (Array.get a) in
+       let firsts =
+         List.fold_left (fun acc k -> if List.mem k acc then acc else acc @ [ k ])
+           [] keys
+       in
+       let rows_of k =
+         List.filter (fun r -> a.(r) = k) (List.init n Fun.id)
+       in
+       let dense = n > 0 && List.for_all Fun.id (List.init n (fun i -> a.(i) = a.(0) + i)) in
+       Basis.Int_index.groups idx = List.length firsts
+       && Basis.Int_index.is_dense idx = dense
+       && List.for_all
+            (fun (g, k) ->
+               Basis.Int_index.key idx g = k
+               && Basis.Int_index.find idx k = g
+               && Array.to_list (Basis.Int_index.group_rows idx g) = rows_of k
+               && Basis.Int_index.size idx g = List.length (rows_of k)
+               && List.for_all (fun r -> Basis.Int_index.group_of idx r = g)
+                    (rows_of k))
+            (List.mapi (fun g k -> (g, k)) firsts)
+       && Basis.Int_index.find idx 1_000_000 = -1
+       && Basis.Int_index.find idx (-1_000_000) = -1)
+
 let () =
   Alcotest.run "basis"
     [ ( "vec",
@@ -434,6 +471,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_vec_bounds;
           Alcotest.test_case "iteration" `Quick test_vec_iteration;
           QCheck_alcotest.to_alcotest vec_growth_prop ] );
+      ( "int index", [ QCheck_alcotest.to_alcotest int_index_prop ] );
       ( "string pool", [ Alcotest.test_case "interning" `Quick test_pool ] );
       ( "prng",
         [ Alcotest.test_case "deterministic" `Quick test_prng_deterministic;

@@ -72,6 +72,37 @@ let test_fusion_chain () =
     (Lower.count_covered pp);
   check_parity "fused chain" p
 
+(* The profile's "fused away" figure is covered minus kernels, on a plan
+   whose shape is fixed: the chain above covers 4 logical ops with 2
+   kernels, so 2 ops were fused away (not 4). *)
+let test_fused_counter () =
+  let b = Plan.builder () in
+  let base = Plan.lit b [| "iter"; "item" |]
+      [ [| v_int 1; v_int 4 |]; [| v_int 2; v_int 7 |] ]
+  in
+  let p =
+    Plan.select b
+      (Plan.fun2 b
+         (Plan.attach b base "five" (v_int 5))
+         "keep" Plan.P_lt "item" "five")
+      "keep"
+  in
+  let pp = Lower.lower p in
+  let prof = Profile.create () in
+  ignore (Physical.run ~profile:prof (store ()) pp);
+  let ph = Profile.phys prof in
+  Alcotest.(check int) "kernels" (Lower.count_kernels pp) ph.Profile.kernels;
+  Alcotest.(check int) "covered" (Lower.count_covered pp) ph.Profile.fused_ops;
+  Alcotest.(check int) "fused away = covered - kernels" 2
+    (Profile.fused_away ph);
+  let text = Profile.to_string prof in
+  let affix = "2 kernels (2 logical ops fused away)" in
+  let n = String.length affix in
+  let rec has i =
+    i + n <= String.length text && (String.sub text i n = affix || has (i + 1))
+  in
+  Alcotest.(check bool) "rendered as fused away" true (has 0)
+
 let test_fusion_stops_at_sharing () =
   let b = Plan.builder () in
   let base = Plan.lit b [| "item" |] [ [| v_int 1 |]; [| v_int 2 |] ] in
@@ -297,6 +328,7 @@ let () =
   Alcotest.run "physical"
     [ ("lowering",
        [ Alcotest.test_case "fusion chain" `Quick test_fusion_chain;
+         Alcotest.test_case "fused-away counter" `Quick test_fused_counter;
          Alcotest.test_case "fusion stops at sharing" `Quick
            test_fusion_stops_at_sharing ]);
       ("kernels",

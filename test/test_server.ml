@@ -557,6 +557,53 @@ let test_serve_sigterm_drain () =
           Alcotest.failf "serve killed by signal %d" n)
   end
 
+(* A SIGTERM sent the moment the readiness line appears must still take
+   the drain path: exit 0 with the final-stats line, not death by signal
+   (the handlers are installed before the line is printed). *)
+let test_serve_sigterm_at_readiness () =
+  let bin =
+    match Sys.getenv_opt "XRQ_SERVE_BIN" with
+    | Some p -> p
+    | None -> "../bin/serve.exe"
+  in
+  if not (Sys.file_exists bin) then
+    Alcotest.skip ()
+  else begin
+    let doc = Filename.temp_file "serve_test" ".xml" in
+    let och = open_out doc in
+    output_string och doc_xml;
+    close_out och;
+    let out_r, out_w = Unix.pipe () in
+    let err_r, err_w = Unix.pipe () in
+    let pid =
+      Unix.create_process bin
+        [| bin; "-d"; "t.xml=" ^ doc; "--port"; "0"; "--workers"; "1" |]
+        Unix.stdin out_w err_w
+    in
+    Unix.close out_w;
+    Unix.close err_w;
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+        (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+        (try Unix.close out_r with Unix.Unix_error _ -> ());
+        (try Unix.close err_r with Unix.Unix_error _ -> ());
+        Sys.remove doc)
+      (fun () ->
+        let ready = input_line (Unix.in_channel_of_descr out_r) in
+        Unix.kill pid Sys.sigterm;
+        Alcotest.(check bool) "readiness line" true
+          (String.length ready >= 12 && String.sub ready 0 12 = "listening on");
+        let log = In_channel.input_all (Unix.in_channel_of_descr err_r) in
+        (match Unix.waitpid [] pid with
+         | _, Unix.WEXITED 0 -> ()
+         | _, Unix.WEXITED n -> Alcotest.failf "serve exited %d" n
+         | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+           Alcotest.failf "serve killed by signal %d" n);
+        Alcotest.(check bool) "final-stats line printed" true
+          (Astring.String.is_infix ~affix:"serve: final stats:" log))
+  end
+
 (* ------------------------------------------------------------------ main *)
 
 let () =
@@ -596,5 +643,7 @@ let () =
             test_wire_drain_grace_cancels_stragglers ] );
       ( "bin/serve",
         [ Alcotest.test_case "SIGTERM drain" `Quick
-            test_serve_sigterm_drain ] );
+            test_serve_sigterm_drain;
+          Alcotest.test_case "SIGTERM at readiness" `Quick
+            test_serve_sigterm_at_readiness ] );
     ]

@@ -547,6 +547,111 @@ let tag_index_prop =
               tests)
          axes)
 
+(* The loop-lifted step is the concatenation of per-iteration steps:
+   iterations in first-seen order, each one's result exactly
+   [Staircase.step] of that iteration's contexts. Inputs cover all 12
+   axes, batched scans on and off, duplicate / nested / attribute
+   contexts, two fragments, and interleaved (non-sorted, negative)
+   iters; the documents wrap several random trees under one root so
+   batched windows (ranges of 64+ rows) occur. The tag index plugs in
+   as the per-group evaluator on its profile and must agree the same
+   way. *)
+let lifted_prop =
+  QCheck2.Test.make ~count:80
+    ~name:"lifted step equals per-iteration steps concatenated"
+    QCheck2.Gen.(tup4 (list_size (int_range 1 4) gen_doc) gen_doc
+                   (int_bound 10000) (int_range 0 40))
+    (fun (srcs, src2, seed, m) ->
+       let st = store () in
+       let big = "<r>" ^ String.concat "" srcs ^ "</r>" in
+       let frags =
+         List.map (fun src -> Node_id.frag (parse st src)) [ big; src2 ]
+       in
+       let nodes =
+         Array.of_list
+           (List.concat_map
+              (fun fid ->
+                 List.init (Doc_store.frag_length (Doc_store.frag st fid))
+                   (fun pre -> Node_id.make ~frag:fid ~pre))
+              frags)
+       in
+       let rng = Basis.Prng.create seed in
+       (* iters from a small range, so they repeat and interleave *)
+       let rows =
+         Array.init m (fun _ ->
+             ( Basis.Prng.int rng 6 - 2,
+               nodes.(Basis.Prng.int rng (Array.length nodes)) ))
+       in
+       let iters =
+         Array.fold_left
+           (fun acc (it, _) -> if List.mem it acc then acc else acc @ [ it ])
+           [] rows
+       in
+       let ti = Tag_index.create st in
+       let tests =
+         [ Node_test.Any_node; Node_test.Name_wild;
+           Node_test.Kind Node_kind.Text;
+           Node_test.Kind Node_kind.Attribute;
+           Node_test.Name (Doc_store.name_test_id st (Qname.make "b"));
+           Node_test.Name (Doc_store.name_test_id st (Qname.make "id")) ]
+       in
+       let show l =
+         String.concat ";"
+           (List.map (fun (it, n) -> Printf.sprintf "%d:%s" it
+                         (Node_id.to_string n)) l)
+       in
+       List.for_all
+         (fun ax ->
+            List.for_all
+              (fun test ->
+                 List.for_all
+                   (fun batch ->
+                      let variants =
+                        (None, fun ctxs -> Staircase.step ~batch st ax test ctxs)
+                        ::
+                        (if Tag_index.applicable ax test then
+                           [ (Some (Tag_index.evaluator ti ax test),
+                              fun ctxs -> Tag_index.step ti ax test ctxs) ]
+                         else [])
+                      in
+                      List.for_all
+                        (fun (eval, per_iter) ->
+                           let r =
+                             Staircase.lifted ~batch ?eval st ax test ~n:m
+                               ~iter:(fun i -> fst rows.(i))
+                               ~frag:(fun i -> Node_id.frag (snd rows.(i)))
+                               ~pre:(fun i -> Node_id.pre (snd rows.(i)))
+                           in
+                           let got =
+                             List.init (Array.length r.Staircase.pres) (fun i ->
+                                 ( r.iters.(i),
+                                   Node_id.make ~frag:r.frags.(i) ~pre:r.pres.(i) ))
+                           in
+                           let want =
+                             List.concat_map
+                               (fun it ->
+                                  let ctxs =
+                                    Array.of_list
+                                      (List.filter_map
+                                         (fun (it', n) ->
+                                            if it' = it then Some n else None)
+                                         (Array.to_list rows))
+                                  in
+                                  List.map (fun n -> (it, n))
+                                    (Array.to_list (per_iter ctxs)))
+                               iters
+                           in
+                           if got <> want then
+                             QCheck2.Test.fail_reportf
+                               "axis %s batch=%b tag-index=%b: got [%s] want [%s]"
+                               (Axis.to_string ax) batch (Option.is_some eval)
+                               (show got) (show want)
+                           else true)
+                        variants)
+                   [ true; false ])
+              tests)
+         all_axes)
+
 let roundtrip_prop =
   QCheck2.Test.make ~count:200 ~name:"parse-serialize-parse is stable"
     gen_doc
@@ -697,6 +802,6 @@ let () =
           Alcotest.test_case "generous guard is invisible" `Quick
             test_ingest_generous_guard_is_invisible ] );
       qsuite "properties"
-        [ axis_oracle_prop; tag_index_prop; roundtrip_prop;
+        [ axis_oracle_prop; tag_index_prop; lifted_prop; roundtrip_prop;
           encoding_invariants_prop ];
     ]
