@@ -93,10 +93,14 @@ let rec eval ctx (n : node) : Table.t =
      | Tree -> ());
     t
 
-(* Evaluate a whole plan against a fresh context. *)
+(* Evaluate a whole plan against a fresh context, then settle the
+   fragments it constructed: the ones the result references are frozen,
+   the rest released — all of them when the run raises. *)
 let run ?profile ?guard ?step_impl ?mode store root =
   let ctx = create ?profile ?guard ?step_impl ?mode store in
-  eval ctx root
+  match eval ctx root with
+  | t -> Kernels.settle ctx.env t; t
+  | exception e -> Kernels.release ctx.env; raise e
 
 (* Primitive semantics, re-exported for the interpreter and tests. *)
 let atomize = Kernels.atomize

@@ -46,7 +46,12 @@ val evals : ctx -> int
     in [Tree] mode per-node times are inclusive of children. *)
 val eval : ctx -> Plan.node -> Table.t
 
-(** [run ?profile ?guard store root] — evaluate against a fresh context. *)
+(** [run ?profile ?guard store root] — evaluate against a fresh context.
+    The run is one construction scope ({!Xmldb.Doc_store.Scope}): on
+    return, the fragments the result references are frozen and every
+    other fragment it constructed is released; if it raises, all are
+    released. ({!eval} on a context of one's own leaves its fragments
+    scratch.) *)
 val run :
   ?profile:Profile.t -> ?guard:Basis.Budget.t -> ?step_impl:step_impl ->
   ?mode:mode -> Xmldb.Doc_store.t -> Plan.node -> Table.t

@@ -2,21 +2,26 @@
    every algebra operator, factored out of the evaluators. [Eval]
    (boxed, per-DAG-node memoization) and [Physical] (typed columns,
    selection vectors, fused pipelines) both dispatch into this module —
-   [Physical] for its boxed-fallback path and for the scalar primitive
-   semantics ([apply1]/[apply2]/[apply3]) its fused kernels reuse.
+   [Physical] for its boxed-fallback path, for the scalar primitive
+   semantics ([apply1]/[apply2]/[apply3]) its fused kernels reuse, and
+   for the cores its typed kernels share (the loop-lifted step, node
+   construction).
 
-   Kernels see only an [env] (store + optional indexes) and their input
-   tables; memoization, budgets, profiling, and Dag/Tree policy live in
-   the callers. *)
+   Kernels see only an [env] (store, construction scope, optional
+   indexes) and their input tables; memoization, budgets, profiling, and
+   Dag/Tree policy live in the callers. *)
 
 open Basis
 open Plan
 
 (* What a kernel needs besides its inputs: the document store, the
-   optional tag index realizing the step operator, and the lazily built
-   id index for fn:id. *)
+   invocation's construction scope, the optional tag index realizing the
+   step operator, and the lazily built id index for fn:id. *)
 type env = {
   store : Xmldb.Doc_store.t;
+  scope : Xmldb.Doc_store.Scope.t;
+      (* every fragment this invocation constructs; settled once, when
+         the run returns ([settle]) or raises ([release]) *)
   tag_index : Xmldb.Tag_index.t option;
   mutable id_index : Xmldb.Id_index.t option;
   code_eval : bool;
@@ -26,7 +31,27 @@ type env = {
 }
 
 let env ?tag_index ?(code_eval = true) store =
-  { store; tag_index; id_index = None; code_eval }
+  { store; scope = Xmldb.Doc_store.Scope.create store; tag_index;
+    id_index = None; code_eval }
+
+(* The settle step at the end of a run: freeze the constructed fragments
+   the result table references, tombstone the rest. *)
+let settle env (t : Table.t) =
+  let live = Hashtbl.create 16 in
+  let last = ref (-1) in
+  Array.iter
+    (Array.iter (function
+       | Value.Node n ->
+         let f = Xmldb.Node_id.frag n in
+         if f <> !last then begin
+           Hashtbl.replace live f ();
+           last := f
+         end
+       | _ -> ()))
+    (Table.columns t);
+  Xmldb.Doc_store.Scope.settle env.scope ~keep:(Hashtbl.mem live)
+
+let release env = Xmldb.Doc_store.Scope.release env.scope
 
 let id_index env =
   match env.id_index with
@@ -802,111 +827,235 @@ let eval_doc store t =
          | Some n -> [| iterc.(r); Value.Node n |]
          | None -> Err.dynamic "fn:doc: document %S not available" uri))
 
-(* Element construction: one new fragment per evaluation; per iteration of
-   [qnames], build an element whose content is [content]'s rows for that
-   iteration in pos order. Adjacent atomics are joined with a space; nodes
-   are deep-copied (XQuery constructor semantics). *)
-let eval_elem store qn ct =
+(* ---------------------------------------------------- node construction *)
+
+(* One construction core behind both executors: the boxed kernels below
+   hand it readers over table columns, the physical executor's typed
+   kernels readers over typed columns, so the two build the same nodes
+   in the same order. Each call builds one scratch fragment in the
+   invocation's scope, presized, and returns its id and root ranks. *)
+
+(* Constructor content, row-addressed: row [i] is the node ([frag i],
+   [pre i]) when [frag i >= 0], else the atomic value [atom i]. *)
+type items = {
+  frag : int -> int;
+  pre : int -> int;
+  atom : int -> Value.t;
+}
+
+let items_of_get (get : int -> Value.t) =
+  { frag = (fun i ->
+        match get i with Value.Node n -> Xmldb.Node_id.frag n | _ -> -1);
+    pre = (fun i ->
+        match get i with Value.Node n -> Xmldb.Node_id.pre n | _ -> 0);
+    atom = get }
+
+(* Name ids for a constructor's name column, interned once per distinct
+   name value: the column is nearly always one repeated constant. *)
+let name_interner store what =
+  let last = ref (Value.Int 0) and last_id = ref (-1) in
+  fun (v : Value.t) ->
+    if v == !last && !last_id >= 0 then !last_id
+    else begin
+      let q =
+        match v with
+        | Value.Qname_v q -> q
+        | Value.Str s -> Xmldb.Qname.of_string s
+        | v ->
+          Err.dynamic "%s name must be a QName, got %s" what (Value.type_name v)
+      in
+      let id = Xmldb.Doc_store.intern_name store q in
+      last := v;
+      last_id := id;
+      id
+    end
+
+(* One builder over [n] root-producing rows: [emit b r] builds row [r]'s
+   root(s); the fragment must end up with exactly one root per row. *)
+let build_roots env ~what ~n ~capacity emit =
+  let b = Xmldb.Doc_store.Builder.create ~scope:env.scope ~capacity env.store in
+  for r = 0 to n - 1 do emit b r done;
+  let fid, pres = Xmldb.Doc_store.Builder.finish_pres b in
+  if Array.length pres <> n then
+    Err.internal "%s construction produced %d roots for %d iterations" what
+      (Array.length pres) n;
+  (fid, pres)
+
+(* Element construction: per name row [r] (iteration [qkey r]), an
+   element whose content is the content rows of that iteration in [cpos]
+   order. Adjacent atomics are joined with a space; nodes are deep-copied
+   (XQuery constructor semantics). Content keys absent from the names
+   match nothing (-1 never occurs as an iteration). *)
+let build_elems env ~n ~qkey ~qname ~m ~ckey ~cpos ~(items : items) =
+  let store = env.store in
+  let content = Int_index.build m ckey in
+  let capacity = ref n in
+  for i = 0 to m - 1 do
+    let f = items.frag i in
+    if f >= 0 then
+      capacity :=
+        !capacity
+        + Xmldb.Doc_store.size_at (Xmldb.Doc_store.frag store f) (items.pre i);
+    incr capacity
+  done;
+  let name_id = name_interner store "element" in
+  build_roots env ~what:"element" ~n ~capacity:!capacity (fun b r ->
+      Xmldb.Doc_store.Builder.start_element_id b (name_id (qname r));
+      (match Int_index.find content (qkey r) with
+       | -1 -> ()
+       | g ->
+         let rows = Int_index.group_rows content g in
+         let sorted = ref true in
+         for k = 1 to Array.length rows - 1 do
+           if cpos rows.(k - 1) >= cpos rows.(k) then sorted := false
+         done;
+         if not !sorted then
+           Array.sort (fun i j -> Int.compare (cpos i) (cpos j)) rows;
+         let prev_atomic = ref false in
+         Array.iter
+           (fun i ->
+              let f = items.frag i in
+              if f >= 0 then begin
+                Xmldb.Doc_store.Builder.copy_at b ~frag:f ~pre:(items.pre i);
+                prev_atomic := false
+              end else begin
+                let s = Value.to_string (items.atom i) in
+                if !prev_atomic then Xmldb.Doc_store.Builder.text b (" " ^ s)
+                else Xmldb.Doc_store.Builder.text b s;
+                prev_atomic := true
+              end)
+           rows);
+      Xmldb.Doc_store.Builder.end_element b)
+
+(* Attribute construction: per name row, one attribute whose value is the
+   last value row of its iteration ([vkey]), "" when there is none. *)
+let build_attrs env ~n ~qkey ~qname ~m ~vkey ~(value : int -> string) =
+  let vals = Int_index.build m vkey in
+  let name_id = name_interner env.store "attribute" in
+  build_roots env ~what:"attribute" ~n ~capacity:n (fun b r ->
+      let v =
+        match Int_index.find vals (qkey r) with
+        | -1 -> ""
+        | g ->
+          let rec last i =
+            match Int_index.next vals i with -1 -> i | j -> last j
+          in
+          value (last (Int_index.first vals g))
+      in
+      Xmldb.Doc_store.Builder.attribute_id b (name_id (qname r)) v)
+
+(* Text and comment constructors: one node per row. *)
+let build_textlike env ~kind ~n ~(text : int -> string) =
+  build_roots env ~what:"text" ~n ~capacity:n (fun b r ->
+      match kind with
+      | `Text -> Xmldb.Doc_store.Builder.force_text b (text r)
+      | `Comment -> Xmldb.Doc_store.Builder.comment b (text r))
+
+let build_pis env ~n ~(target : int -> string) ~(value : int -> string) =
+  build_roots env ~what:"processing-instruction" ~n ~capacity:n (fun b r ->
+      Xmldb.Doc_store.Builder.pi b (target r) (value r))
+
+(* fs:item-sequence-to-node-sequence over [m] rows: per iteration in pos
+   order ([compare_rows], a total order on (iter, pos)), runs of atomic
+   items become single space-separated text nodes; nodes pass through.
+   Output row [k] takes iter/pos from source row [src.(k)] (a run's
+   first row) and holds the node ([frags.(k)], [pres.(k)]). *)
+let build_textify env ~m ~compare_rows ~same_iter ~(items : items) =
+  let order = Array.init m (fun i -> i) in
+  (* rows usually arrive in (iter, pos) order already; a strictly
+     ascending run sorts to itself *)
+  let sorted = ref true in
+  for i = 1 to m - 1 do
+    if compare_rows (i - 1) i >= 0 then sorted := false
+  done;
+  if not !sorted then Array.sort compare_rows order;
+  let b =
+    Xmldb.Doc_store.Builder.create ~scope:env.scope ~capacity:m env.store
+  in
+  let src = Vec.create ~capacity:m 0 in
+  let text_of = Vec.create ~capacity:m (-1) in  (* text root index or -1 *)
+  let texts = ref 0 in
+  let run_start = ref (-1) and parts = ref [] in
+  let flush () =
+    if !run_start >= 0 then begin
+      Xmldb.Doc_store.Builder.force_text b
+        (String.concat " " (List.rev !parts));
+      Vec.push src !run_start;
+      Vec.push text_of !texts;
+      incr texts;
+      run_start := -1;
+      parts := []
+    end
+  in
+  Array.iter
+    (fun r ->
+       if items.frag r >= 0 then begin
+         flush ();
+         Vec.push src r;
+         Vec.push text_of (-1)
+       end else begin
+         let s = Value.to_string (items.atom r) in
+         if !run_start >= 0 && same_iter !run_start r then parts := s :: !parts
+         else begin
+           flush ();
+           run_start := r;
+           parts := [ s ]
+         end
+       end)
+    order;
+  flush ();
+  let fid, roots = Xmldb.Doc_store.Builder.finish_pres b in
+  let k = Vec.length src in
+  let src = Vec.to_array src in
+  let frags = Array.make k fid and pres = Array.make k 0 in
+  for o = 0 to k - 1 do
+    match Vec.get text_of o with
+    | -1 ->
+      frags.(o) <- items.frag src.(o);
+      pres.(o) <- items.pre src.(o)
+    | t -> pres.(o) <- roots.(t)
+  done;
+  (src, frags, pres)
+
+(* The (iter, item) table of one constructor's roots. *)
+let roots_table iter (fid, pres) =
+  Table.create [| "iter"; "item" |]
+    [| iter;
+       Array.map (fun pre -> Value.Node (Xmldb.Node_id.make ~frag:fid ~pre))
+         pres |]
+    (Array.length pres)
+
+let eval_elem env qn ct =
   let qiter = Table.col qn "iter" and qitem = Table.col qn "item" in
   let citer = Table.col ct "iter" and cpos = Table.col ct "pos" in
-  let citem = Table.col ct "item" in
-  (* group content by iter on a flat index (rows ascending per group),
-     each group sorted by pos *)
   let ckeys, qkeys = join_keys ~build:citer ~probe:qiter in
-  let content = Int_index.build (Array.length ckeys) (Array.get ckeys) in
   let cposv = Array.map Value.int_value cpos in
-  let b = Xmldb.Doc_store.Builder.create store in
-  let n = Table.nrows qn in
-  for r = 0 to n - 1 do
-    let name =
-      match qitem.(r) with
-      | Value.Qname_v q -> q
-      | Value.Str s -> Xmldb.Qname.of_string s
-      | v -> Err.dynamic "element name must be a QName, got %s" (Value.type_name v)
-    in
-    Xmldb.Doc_store.Builder.start_element b name;
-    (match Int_index.find content qkeys.(r) with
-     | -1 -> ()
-     | g ->
-       let items =
-         Array.map (fun i -> (cposv.(i), citem.(i)))
-           (Int_index.group_rows content g)
-       in
-       Array.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2) items;
-       let prev_atomic = ref false in
-       Array.iter
-         (fun (_, item) ->
-            match item with
-            | Value.Node nid ->
-              Xmldb.Doc_store.Builder.copy b nid;
-              prev_atomic := false
-            | atom ->
-              let s = Value.to_string atom in
-              if !prev_atomic then Xmldb.Doc_store.Builder.text b (" " ^ s)
-              else Xmldb.Doc_store.Builder.text b s;
-              prev_atomic := true)
-         items);
-    Xmldb.Doc_store.Builder.end_element b
-  done;
-  let fid, roots = Xmldb.Doc_store.Builder.finish b in
-  ignore fid;
-  if Array.length roots <> n then
-    Err.internal "element construction produced %d roots for %d iterations"
-      (Array.length roots) n;
-  Table.of_rows [| "iter"; "item" |]
-    (List.init n (fun r -> [| qiter.(r); Value.Node roots.(r) |]))
+  roots_table qiter
+    (build_elems env ~n:(Table.nrows qn) ~qkey:(Array.get qkeys)
+       ~qname:(Array.get qitem) ~m:(Table.nrows ct) ~ckey:(Array.get ckeys)
+       ~cpos:(Array.get cposv)
+       ~items:(items_of_get (Array.get (Table.col ct "item"))))
 
-let eval_attr store qn vals =
+let eval_attr env qn vals =
   let qiter = Table.col qn "iter" and qitem = Table.col qn "item" in
   let viter = Table.col vals "iter" and vitem = Table.col vals "item" in
-  (* values: at most one row per iter; absent -> "" *)
-  let vmap = Val_tbl.create 64 in
-  for r = 0 to Table.nrows vals - 1 do
-    Val_tbl.replace vmap viter.(r) (Value.to_string (atomize store vitem.(r)))
-  done;
-  let b = Xmldb.Doc_store.Builder.create store in
-  let n = Table.nrows qn in
-  for r = 0 to n - 1 do
-    let name =
-      match qitem.(r) with
-      | Value.Qname_v q -> q
-      | Value.Str s -> Xmldb.Qname.of_string s
-      | v -> Err.dynamic "attribute name must be a QName, got %s" (Value.type_name v)
-    in
-    let v = Option.value ~default:"" (Val_tbl.find_opt vmap qiter.(r)) in
-    Xmldb.Doc_store.Builder.attribute b name v
-  done;
-  let _, roots = Xmldb.Doc_store.Builder.finish b in
-  Table.of_rows [| "iter"; "item" |]
-    (List.init n (fun r -> [| qiter.(r); Value.Node roots.(r) |]))
+  let vkeys, qkeys = join_keys ~build:viter ~probe:qiter in
+  roots_table qiter
+    (build_attrs env ~n:(Table.nrows qn) ~qkey:(Array.get qkeys)
+       ~qname:(Array.get qitem) ~m:(Table.nrows vals) ~vkey:(Array.get vkeys)
+       ~value:(fun i -> Value.to_string (atomize env.store vitem.(i))))
 
-let eval_textlike store t ~kind =
-  let iterc = Table.col t "iter" and itemc = Table.col t "item" in
-  let b = Xmldb.Doc_store.Builder.create store in
-  let n = Table.nrows t in
-  for r = 0 to n - 1 do
-    let s = Value.to_string (atomize store itemc.(r)) in
-    match kind with
-    | `Text -> Xmldb.Doc_store.Builder.force_text b s
-    | `Comment -> Xmldb.Doc_store.Builder.comment b s
-  done;
-  let _, roots = Xmldb.Doc_store.Builder.finish b in
-  Table.of_rows [| "iter"; "item" |]
-    (List.init n (fun r -> [| iterc.(r); Value.Node roots.(r) |]))
+let eval_textlike env t ~kind =
+  let itemc = Table.col t "item" in
+  roots_table (Table.col t "iter")
+    (build_textlike env ~kind ~n:(Table.nrows t)
+       ~text:(fun r -> Value.to_string (atomize env.store itemc.(r))))
 
-let eval_pinode store t =
-  let iterc = Table.col t "iter" in
+let eval_pinode env t =
   let tc = Table.col t "target" and vc = Table.col t "value" in
-  let b = Xmldb.Doc_store.Builder.create store in
-  let n = Table.nrows t in
-  for r = 0 to n - 1 do
-    Xmldb.Doc_store.Builder.pi b
-      (Value.to_string (atomize store tc.(r)))
-      (Value.to_string (atomize store vc.(r)))
-  done;
-  let _, roots = Xmldb.Doc_store.Builder.finish b in
-  Table.of_rows [| "iter"; "item" |]
-    (List.init n (fun r -> [| iterc.(r); Value.Node roots.(r) |]))
+  let str c r = Value.to_string (atomize env.store c.(r)) in
+  roots_table (Table.col t "iter")
+    (build_pis env ~n:(Table.nrows t) ~target:(str tc) ~value:(str vc))
 
 let eval_range t lo hi =
   let iterc = Table.col t "iter" in
@@ -923,59 +1072,24 @@ let eval_range t lo hi =
   Table.of_rows [| "iter"; "pos"; "item" |]
     (Vec.fold_left (fun acc r -> r :: acc) [] rows |> List.rev)
 
-(* fs:item-sequence-to-node-sequence: per iteration in pos order, runs of
-   atomic items become single text nodes (space-separated). *)
-let eval_textify store t =
+let eval_textify env t =
   let iterc = Table.col t "iter" in
   let posc = Table.col t "pos" and itemc = Table.col t "item" in
-  let order = Array.init (Table.nrows t) (fun i -> i) in
-  Array.sort
-    (fun a b ->
-       match Value.compare_total iterc.(a) iterc.(b) with
-       | 0 -> Value.compare_total posc.(a) posc.(b)
-       | c -> c)
-    order;
-  let b = Xmldb.Doc_store.Builder.create store in
-  (* first pass: emit text nodes for atomic runs, remember placements *)
-  let rows = Vec.create (Value.Int 0, Value.Int 0, `Node_row 0) in
-  let run : (Value.t * Value.t * string list) option ref = ref None in
-  let text_count = ref 0 in
-  let flush () =
-    match !run with
-    | None -> ()
-    | Some (iter, pos, parts) ->
-      Xmldb.Doc_store.Builder.force_text b (String.concat " " (List.rev parts));
-      Vec.push rows (iter, pos, `Text_row !text_count);
-      incr text_count;
-      run := None
+  let src, frags, pres =
+    build_textify env ~m:(Table.nrows t)
+      ~compare_rows:(fun a b ->
+          match Value.compare_total iterc.(a) iterc.(b) with
+          | 0 -> Value.compare_total posc.(a) posc.(b)
+          | c -> c)
+      ~same_iter:(fun a b -> Value.equal iterc.(a) iterc.(b))
+      ~items:(items_of_get (Array.get itemc))
   in
-  Array.iter
-    (fun r ->
-       match itemc.(r) with
-       | Value.Node _ ->
-         flush ();
-         Vec.push rows (iterc.(r), posc.(r), `Node_row r)
-       | atom ->
-         let s = Value.to_string atom in
-         (match !run with
-          | Some (iter, pos, parts) when Value.equal iter iterc.(r) ->
-            run := Some (iter, pos, s :: parts)
-          | _ ->
-            flush ();
-            run := Some (iterc.(r), posc.(r), [ s ])))
-    order;
-  flush ();
-  let _, roots = Xmldb.Doc_store.Builder.finish b in
-  Table.of_rows [| "iter"; "pos"; "item" |]
-    (List.map
-       (fun (iter, pos, what) ->
-          let item =
-            match what with
-            | `Node_row r -> itemc.(r)
-            | `Text_row k -> Value.Node roots.(k)
-          in
-          [| iter; pos; item |])
-       (Vec.fold_left (fun acc x -> x :: acc) [] rows |> List.rev))
+  let k = Array.length src in
+  Table.create [| "iter"; "pos"; "item" |]
+    [| Array.map (Array.get iterc) src; Array.map (Array.get posc) src;
+       Array.init k (fun o ->
+           Value.Node (Xmldb.Node_id.make ~frag:frags.(o) ~pre:pres.(o))) |]
+    k
 
 let eval_id_lookup idx store values context =
   let viter = Table.col values "iter" and vitem = Table.col values "item" in
@@ -1055,15 +1169,15 @@ let eval_op env op (inputs : Table.t list) : Table.t =
   | Doc _ -> eval_doc env.store (one ())
   | Elem _ ->
     let q, c = two () in
-    eval_elem env.store q c
+    eval_elem env q c
   | Attr _ ->
     let q, v = two () in
-    eval_attr env.store q v
-  | Textnode _ -> eval_textlike env.store (one ()) ~kind:`Text
-  | Commentnode _ -> eval_textlike env.store (one ()) ~kind:`Comment
-  | Pinode _ -> eval_pinode env.store (one ())
+    eval_attr env q v
+  | Textnode _ -> eval_textlike env (one ()) ~kind:`Text
+  | Commentnode _ -> eval_textlike env (one ()) ~kind:`Comment
+  | Pinode _ -> eval_pinode env (one ())
   | Range { lo; hi; _ } -> eval_range (one ()) lo hi
-  | Textify _ -> eval_textify env.store (one ())
+  | Textify _ -> eval_textify env (one ())
   | Id_lookup _ ->
     let vs, ctx = two () in
     eval_id_lookup (id_index env) env.store vs ctx

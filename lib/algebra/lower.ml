@@ -12,7 +12,8 @@
 
    Everything else maps 1:1 onto a physical kernel — typed where
    [Physical] has a typed implementation (including the step operator ⊘,
-   which lowers to the loop-lifted [K_step]; there is no [boxed:⊘]),
+   which lowers to the loop-lifted [K_step], and the node constructors,
+   which lower to [K_construct]; there is no [boxed:⊘] or [boxed:elem]),
    [K_boxed] (the boxed kernel called through table conversions) where
    it does not. Lowering is
    strictly post-logical: it never changes plan shapes, so the logical
@@ -83,7 +84,8 @@ let parallelizable (pop : Physical.pop) =
     | Plan.A_count | Plan.A_sum | Plan.A_min | Plan.A_max -> true
     | _ -> false)
   | Physical.K_project _ | Physical.K_distinct | Physical.K_union
-  | Physical.K_rownum _ | Physical.K_step _ | Physical.K_boxed _ -> false
+  | Physical.K_rownum _ | Physical.K_step _ | Physical.K_construct _
+  | Physical.K_boxed _ -> false
 
 let lower ?(types = fun (_ : Plan.node) -> ([] : (string * Column.ty) list))
     ?card ?(merge_hint = fun (_ : Plan.node) -> (None : int option))
@@ -165,9 +167,23 @@ let lower ?(types = fun (_ : Plan.node) -> ([] : (string * Column.ty) list))
             mk (Physical.K_aggr { res; agg; arg; part; order }) [ go input ] 1
           | Plan.Step { input; axis; test } ->
             mk (Physical.K_step { axis; test }) [ go input ] 1
+          | Plan.Elem { qnames; content } ->
+            mk (Physical.K_construct Physical.C_elem)
+              [ go qnames; go content ] 1
+          | Plan.Attr { qnames; values } ->
+            mk (Physical.K_construct Physical.C_attr)
+              [ go qnames; go values ] 1
+          | Plan.Textnode { input } ->
+            mk (Physical.K_construct Physical.C_text) [ go input ] 1
+          | Plan.Commentnode { input } ->
+            mk (Physical.K_construct Physical.C_comment) [ go input ] 1
+          | Plan.Pinode { input } ->
+            mk (Physical.K_construct Physical.C_pi) [ go input ] 1
+          | Plan.Textify { input } ->
+            mk (Physical.K_construct Physical.C_textify) [ go input ] 1
           | op ->
-            (* Lit, Cross, node construction, Range, Textify, Id_lookup,
-               Doc: boxed kernels over converted inputs *)
+            (* Lit, Cross, Range, Id_lookup, Doc: boxed kernels over
+               converted inputs *)
             mk (Physical.K_boxed op) (List.map go (Plan.children op)) 1)
       in
       Hashtbl.add memo n.Plan.id p;

@@ -22,7 +22,11 @@
    [Staircase.lifted] pass over the whole (iter, item) batch, int and
    node columns in, int and node columns out. Int-keyed joins, semijoin
    key sets, single-column distinct and grouped aggregation run on the
-   flat [Basis.Int_index] (no heap block per key).
+   flat [Basis.Int_index] (no heap block per key). Node construction
+   (element, attribute, text, comment and PI constructors, and Textify)
+   has typed kernels ([K_construct]) over the construction core the
+   boxed kernels share: int iter/pos and node item columns in, int and
+   node columns out.
 
    Everything without a typed implementation falls back to the boxed
    kernels ([Kernels.eval_op]) through cached table conversions, so the
@@ -85,6 +89,10 @@ type chain_op =
   | F_fun2 of string * Plan.prim2 * string * string
   | F_fun3 of string * Plan.prim3 * string * string * string
 
+(* The node constructors (Elem, Attr, Textnode, Commentnode, Pinode) and
+   fs:item-sequence-to-node-sequence (Textify). *)
+type construct = C_elem | C_attr | C_text | C_comment | C_pi | C_textify
+
 type pop =
   | K_pipe of chain_op list      (* >= 1 chain ops over one input *)
   | K_project of (string * string) list
@@ -121,6 +129,9 @@ type pop =
     }
   | K_step of { axis : Xmldb.Axis.t; test : Plan.ntest }
       (* the loop-lifted step ⊘ over an (iter, item) batch *)
+  | K_construct of construct
+      (* node construction over typed batches, through the construction
+         core the boxed kernels share ([Kernels.build_elems], ...) *)
   | K_boxed of Plan.op           (* no typed implementation: boxed kernel *)
 
 type pnode = {
@@ -156,6 +167,11 @@ let pop_name = function
   | K_step { axis; test } ->
     Printf.sprintf "step:⊘_{%s::%s}" (Xmldb.Axis.to_string axis)
       (Plan_pp.ntest_str test)
+  | K_construct c ->
+    "construct:"
+    ^ (match c with
+        | C_elem -> "elem" | C_attr -> "attr" | C_text -> "text"
+        | C_comment -> "comment" | C_pi -> "pi" | C_textify -> "textify")
   | K_boxed op -> "boxed:" ^ Plan.op_symbol op
 
 (* ---------------------------------------------------------------- batches *)
@@ -165,8 +181,8 @@ let pop_name = function
    present, all of [0 .. base-1] otherwise.
 
    A column entering from the boxed world stays [Mixed] in [cols] — the
-   boxed view must remain zero-copy, because boxed kernels (node
-   construction, say) sit between many typed ones and a retype that *replaced*
+   boxed view must remain zero-copy, because boxed kernels (the cross
+   product, say) sit between many typed ones and a retype that *replaced*
    the boxed array would force a full re-boxing pass at the next boxed
    boundary. Typed kernels instead consult [typed], a lazily filled
    per-column cache of the retyped view ([Some Mixed] records a scan that
@@ -1590,6 +1606,13 @@ let k_aggr ctx ~par b res agg arg part order =
     | _ -> boxed ())
   | _ -> boxed ()
 
+(* Visible row [k] of a batch, as a reader over base rows. *)
+let vis b f = match b.sel with None -> f | Some s -> fun k -> f s.(k)
+
+let typed_batch schema cols n =
+  { schema; cols; typed = Array.map (fun _ -> None) cols; sel = None;
+    nrows = n; base = n; table = None }
+
 (* The loop-lifted step ⊘: one [Staircase.lifted] call over the whole
    (iter, item) batch, reading an int iter column ([Ints]/[Seq]/[Const])
    and a [Nodes] item column through the selection, and emitting [Ints]
@@ -1597,7 +1620,7 @@ let k_aggr ctx ~par b res agg arg part order =
    item, say) takes the boxed kernel, which reports the same error the
    boxed executor does. *)
 let k_step ctx b axis test =
-  let vis f = match b.sel with None -> f | Some s -> fun k -> f s.(k) in
+  let vis f = vis b f in
   let inputs =
     if b.nrows = 0 then Some ((fun _ -> 0), [||], [||])
     else
@@ -1612,16 +1635,102 @@ let k_step ctx b axis test =
       Kernels.lifted_step ctx.env axis test ~n:b.nrows ~iter:(vis gi)
         ~frag:(vis (Array.get frag)) ~pre:(vis (Array.get pre))
     in
-    let n = Array.length r.Xmldb.Staircase.iters in
-    { schema = [| "iter"; "item" |];
-      cols =
-        [| Column.Ints r.iters;
-           Column.Nodes { frag = r.frags; pre = r.pres } |];
-      typed = [| None; None |];
-      sel = None;
-      nrows = n;
-      base = n;
-      table = None }
+    typed_batch [| "iter"; "item" |]
+      [| Column.Ints r.iters; Column.Nodes { frag = r.frags; pre = r.pres } |]
+      (Array.length r.Xmldb.Staircase.iters)
+
+(* ------------------------------------------------------ node construction *)
+
+(* The typed constructor kernels: [Ints]/[Seq]/[Const] iter and pos
+   columns and [Nodes] or [Mixed] item columns are read in place through
+   the selection, fed to the construction core the boxed kernels share,
+   and the result leaves as an int iter column plus a [Nodes] item
+   column — no table on either side. Inputs whose iter or pos column is
+   not all-int take the boxed kernel. *)
+
+(* An all-int column's visible rows (None: not all ints). *)
+let vis_ints ctx b name =
+  if b.nrows = 0 then Some (fun _ -> 0)
+  else Option.map (vis b) (int_reader (rcol ctx b name))
+
+(* Any column's visible rows, boxed per row. *)
+let vis_get b name = vis b (Column.get b.cols.(col_pos b name))
+
+(* Constructor content: a [Nodes] column (or cached typed view) is read
+   as (frag, pre) directly; anything else per boxed row. *)
+let vis_items b name : Kernels.items =
+  let i = col_pos b name in
+  match (b.cols.(i), b.typed.(i)) with
+  | Column.Nodes { frag; pre }, _ | _, Some (Column.Nodes { frag; pre }) ->
+    { Kernels.frag = vis b (Array.get frag);
+      pre = vis b (Array.get pre);
+      atom = vis_get b name }
+  | c, _ -> Kernels.items_of_get (vis b (Column.get c))
+
+(* A column's visible rows as a column, typed view preferred. *)
+let vis_col b name =
+  let i = col_pos b name in
+  let c =
+    match b.typed.(i) with
+    | Some (Column.Mixed _) | None -> b.cols.(i)
+    | Some c -> c
+  in
+  match b.sel with None -> c | Some s -> Column.gather c s
+
+let roots_batch iter (fid, pres) =
+  let n = Array.length pres in
+  typed_batch [| "iter"; "item" |]
+    [| iter; Column.Nodes { frag = Array.make n fid; pre = pres } |] n
+
+let k_construct ctx c inputs =
+  let env = ctx.env in
+  let str b name =
+    let get = vis_get b name in
+    fun r -> Value.to_string (Kernels.atomize env.Kernels.store (get r))
+  in
+  match (c, inputs) with
+  | C_elem, [ qb; cb ] -> (
+    match
+      (vis_ints ctx qb "iter", vis_ints ctx cb "iter", vis_ints ctx cb "pos")
+    with
+    | Some qkey, Some ckey, Some cpos ->
+      roots_batch (vis_col qb "iter")
+        (Kernels.build_elems env ~n:qb.nrows ~qkey ~qname:(vis_get qb "item")
+           ~m:cb.nrows ~ckey ~cpos ~items:(vis_items cb "item"))
+    | _ -> of_table (Kernels.eval_elem env (to_table ctx qb) (to_table ctx cb)))
+  | C_attr, [ qb; vb ] -> (
+    match (vis_ints ctx qb "iter", vis_ints ctx vb "iter") with
+    | Some qkey, Some vkey ->
+      roots_batch (vis_col qb "iter")
+        (Kernels.build_attrs env ~n:qb.nrows ~qkey ~qname:(vis_get qb "item")
+           ~m:vb.nrows ~vkey ~value:(str vb "item"))
+    | _ -> of_table (Kernels.eval_attr env (to_table ctx qb) (to_table ctx vb)))
+  | (C_text | C_comment), [ b ] ->
+    let kind = if c = C_text then `Text else `Comment in
+    roots_batch (vis_col b "iter")
+      (Kernels.build_textlike env ~kind ~n:b.nrows ~text:(str b "item"))
+  | C_pi, [ b ] ->
+    roots_batch (vis_col b "iter")
+      (Kernels.build_pis env ~n:b.nrows ~target:(str b "target")
+         ~value:(str b "value"))
+  | C_textify, [ b ] -> (
+    match (vis_ints ctx b "iter", vis_ints ctx b "pos") with
+    | Some it, Some ps ->
+      let src, frags, pres =
+        Kernels.build_textify env ~m:b.nrows
+          ~compare_rows:(fun x y ->
+              match Int.compare (it x) (it y) with
+              | 0 -> Int.compare (ps x) (ps y)
+              | c -> c)
+          ~same_iter:(fun x y -> it x = it y)
+          ~items:(vis_items b "item")
+      in
+      typed_batch [| "iter"; "pos"; "item" |]
+        [| Column.Ints (Array.map it src); Column.Ints (Array.map ps src);
+           Column.Nodes { frag = frags; pre = pres } |]
+        (Array.length src)
+    | _ -> of_table (Kernels.eval_textify env (to_table ctx b)))
+  | _ -> Err.internal "physical construction kernel: wrong arity"
 
 (* ------------------------------------------------------------- dispatcher *)
 
@@ -1659,6 +1768,7 @@ let exec_kernel ctx (p : pnode) (inputs : batch list) : batch =
   | K_aggr { res; agg; arg; part; order } ->
     k_aggr ctx ~par (one ()) res agg arg part order
   | K_step { axis; test } -> k_step ctx (one ()) axis test
+  | K_construct c -> k_construct ctx c inputs
   | K_boxed op ->
     let tables = List.map (to_table ctx) inputs in
     of_table (Kernels.eval_op ctx.env op tables)
@@ -1704,6 +1814,9 @@ let rec eval ctx (p : pnode) : batch =
 
 (* Evaluate a whole physical plan; the result is boxed for the
    serialization boundary (the one materialization every query pays).
+   The run is one construction scope: on return the fragments the result
+   references are frozen and the other constructed ones released; if it
+   raises, all are released.
    [jobs] > 1 enables morsel parallelism on the kernels the lowering
    marked order-indifferent; results, errors and profile counters are
    bit-identical to [jobs = 1]. [morsel] overrides the minimum rows per
@@ -1713,5 +1826,6 @@ let run ?profile ?guard ?step_impl ?mode ?jobs ?morsel ?code_eval store
   let ctx =
     create ?profile ?guard ?step_impl ?mode ?jobs ?morsel ?code_eval store
   in
-  let out = eval ctx root in
-  to_table ctx out
+  match to_table ctx (eval ctx root) with
+  | t -> Kernels.settle ctx.env t; t
+  | exception e -> Kernels.release ctx.env; raise e

@@ -11,6 +11,7 @@ module Value = Algebra.Value
 
 type env = {
   store : Xmldb.Doc_store.t;
+  scope : Xmldb.Doc_store.Scope.t;  (* this run's constructed fragments *)
   vars : (string * Xdm.seq) list;
   guard : Budget.t option;  (* resource governor, checked per core node *)
 }
@@ -73,8 +74,10 @@ let qname_of_item (v : Xdm.item) =
   | Value.Str s -> Xmldb.Qname.of_string s
   | v -> Err.dynamic "invalid node name: %s" (Value.type_name v)
 
-let construct_element store name content =
-  let b = Xmldb.Doc_store.Builder.create store in
+let builder env = Xmldb.Doc_store.Builder.create ~scope:env.scope env.store
+
+let construct_element env name content =
+  let b = builder env in
   Xmldb.Doc_store.Builder.start_element b name;
   add_content () b content;
   Xmldb.Doc_store.Builder.end_element b;
@@ -83,14 +86,14 @@ let construct_element store name content =
 
 (* fs:textify — item-sequence-to-node-sequence: atomic runs become single
    text nodes (space separated); nodes pass through unchanged. *)
-let textify store (s : Xdm.seq) : Xdm.seq =
+let textify env (s : Xdm.seq) : Xdm.seq =
   let out = ref [] in
   let flush_run run =
     match List.rev run with
     | [] -> ()
     | items ->
       let text = String.concat " " (List.map Value.to_string items) in
-      let b = Xmldb.Doc_store.Builder.create store in
+      let b = builder env in
       Xmldb.Doc_store.Builder.force_text b text;
       let _, roots = Xmldb.Doc_store.Builder.finish b in
       out := Value.Node roots.(0) :: !out
@@ -289,7 +292,7 @@ and eval_expr env (e : core) : Xdm.seq =
   | C_call (f, args) -> eval_call env f args
   | C_elem { name; content } ->
     let n = qname_of_item (Xdm.singleton "element name" (eval env name)) in
-    [ construct_element env.store n (eval env content) ]
+    [ construct_element env n (eval env content) ]
   | C_attr { name; value } ->
     let n = qname_of_item (Xdm.singleton "attribute name" (eval env name)) in
     let v =
@@ -297,7 +300,7 @@ and eval_expr env (e : core) : Xdm.seq =
       | [] -> ""
       | s -> Xdm.string_of_item env.store (Xdm.singleton "attribute value" s)
     in
-    let b = Xmldb.Doc_store.Builder.create env.store in
+    let b = builder env in
     Xmldb.Doc_store.Builder.attribute b n v;
     let _, roots = Xmldb.Doc_store.Builder.finish b in
     [ Value.Node roots.(0) ]
@@ -307,7 +310,7 @@ and eval_expr env (e : core) : Xdm.seq =
       | [] -> ""
       | s -> Xdm.string_of_item env.store (Xdm.singleton "text content" s)
     in
-    let b = Xmldb.Doc_store.Builder.create env.store in
+    let b = builder env in
     Xmldb.Doc_store.Builder.force_text b s;
     let _, roots = Xmldb.Doc_store.Builder.finish b in
     [ Value.Node roots.(0) ]
@@ -317,7 +320,7 @@ and eval_expr env (e : core) : Xdm.seq =
       | [] -> ""
       | s -> Xdm.string_of_item env.store (Xdm.singleton "comment content" s)
     in
-    let b = Xmldb.Doc_store.Builder.create env.store in
+    let b = builder env in
     Xmldb.Doc_store.Builder.comment b s;
     let _, roots = Xmldb.Doc_store.Builder.finish b in
     [ Value.Node roots.(0) ]
@@ -328,11 +331,11 @@ and eval_expr env (e : core) : Xdm.seq =
       | [] -> ""
       | s -> Xdm.string_of_item env.store (Xdm.singleton "pi content" s)
     in
-    let b = Xmldb.Doc_store.Builder.create env.store in
+    let b = builder env in
     Xmldb.Doc_store.Builder.pi b t v;
     let _, roots = Xmldb.Doc_store.Builder.finish b in
     [ Value.Node roots.(0) ]
-  | C_textify e' -> textify env.store (eval env e')
+  | C_textify e' -> textify env (eval env e')
   | C_instance { input; ty } ->
     [ Value.Bool (seq_instance env.store ty (eval env input)) ]
   | C_treat { input; ty } ->
@@ -677,7 +680,22 @@ and ebv_str store s =
 
 (* -- entry points ------------------------------------------------------------ *)
 
-let eval_core ?guard store core = eval { store; vars = []; guard } core
+(* One run is one construction scope: the fragments the result
+   references are frozen, every other constructed one released — all of
+   them when evaluation raises. *)
+let eval_core ?guard store core =
+  let scope = Xmldb.Doc_store.Scope.create store in
+  match eval { store; scope; vars = []; guard } core with
+  | items ->
+    let live = Hashtbl.create 16 in
+    List.iter
+      (function
+        | Value.Node n -> Hashtbl.replace live (Xmldb.Node_id.frag n) ()
+        | _ -> ())
+      items;
+    Xmldb.Doc_store.Scope.settle scope ~keep:(Hashtbl.mem live);
+    items
+  | exception e -> Xmldb.Doc_store.Scope.release scope; raise e
 
 (* Parse, normalize and evaluate a full query text. *)
 let run ?guard store text : Xdm.seq =

@@ -8,7 +8,10 @@
 (** Evaluate a Core expression against a store (no variables in scope).
     [guard] is checked at every core-expression node (the interpreter's
     operator boundary) and charged with every materialized sequence;
-    exhaustion raises {!Basis.Err.Resource_error}. *)
+    exhaustion raises {!Basis.Err.Resource_error}. The run is one
+    construction scope ({!Xmldb.Doc_store.Scope}): on return the
+    fragments the result references are frozen and the other constructed
+    ones released; if it raises, all are released. *)
 val eval_core :
   ?guard:Basis.Budget.t -> Xmldb.Doc_store.t -> Xquery.Core_ast.core ->
   Xdm.seq

@@ -15,13 +15,22 @@
    Attributes are inlined immediately after their owner element and before
    its children with size 0; axes other than [attribute] skip them.
 
-   Fragments are append-only once finished; runtime node construction
+   Fragments are immutable once settled; runtime node construction
    allocates fresh fragments, giving constructed trees a document order
    after all existing nodes — the seq->doc order interaction (paper 2(2))
    is realized by the *order of content rows* fed to the builder.
 
+   Construction is query-scoped. A builder publishes its arrays as a
+   [Scratch] fragment of the running invocation's [Scope] (no copy, no
+   packing), so a nested constructor copies its content out of them as
+   flat column slices. When the invocation returns, its one settle step freezes the
+   fragments the result references and turns every other one into a
+   zero-length tombstone; the slot stays, so fragment ids — document
+   order between trees — never shift. An invocation that raises
+   releases all of its fragments.
+
    Physical layout (paper Section 3: the MonetDB/X100-style encoded
-   relational back-end). A finished fragment is frozen into bit-width
+   relational back-end). A settled fragment is frozen into bit-width
    minimal packed columns: each integer column picks the narrowest of
    u8/u16/u32 that holds its actual maximum, kinds are one byte per row,
    and the name/value columns are dictionary-encoded per fragment on top
@@ -36,7 +45,11 @@ open Basis
 
 (* -- fragment representations -------------------------------------------- *)
 
+(* The word-per-cell form: the builder's working arrays, published as they
+   are. The arrays may run past [len] (builder slack); rows [len..] are
+   never read. *)
 type boxed = {
+  len : int;
   kinds : Node_kind.t array;
   names : int array;
   values : int array;
@@ -61,13 +74,16 @@ type packed = {
   p_parents : col;         (* parent pre + 1, 0 for roots *)
 }
 
-type frag = Boxed of boxed | Packed of packed
+(* [Scratch]: a fragment finished inside a still-running invocation,
+   kept in the builder's boxed form until that invocation settles it
+   (see [Scope]). [Boxed]: settled in a reference (unpacked) store. *)
+type frag = Boxed of boxed | Packed of packed | Scratch of boxed
 
 let frag_length = function
-  | Boxed b -> Array.length b.kinds
+  | Boxed b | Scratch b -> b.len
   | Packed p -> p.p_len
 
-let frag_packed = function Boxed _ -> false | Packed _ -> true
+let frag_packed = function Boxed _ | Scratch _ -> false | Packed _ -> true
 
 let[@inline] col_get c i =
   match c with
@@ -85,32 +101,32 @@ let[@inline] decode_dict dict code =
 
 let[@inline] kind_at f pre =
   match f with
-  | Boxed b -> b.kinds.(pre)
+  | Boxed b | Scratch b -> b.kinds.(pre)
   | Packed p -> Node_kind.of_int (Char.code (Bytes.get p.p_kinds pre))
 
 let[@inline] name_at f pre =
   match f with
-  | Boxed b -> b.names.(pre)
+  | Boxed b | Scratch b -> b.names.(pre)
   | Packed p -> decode_dict p.p_name_dict (col_get p.p_names pre)
 
 let[@inline] value_at f pre =
   match f with
-  | Boxed b -> b.values.(pre)
+  | Boxed b | Scratch b -> b.values.(pre)
   | Packed p -> decode_dict p.p_value_dict (col_get p.p_values pre)
 
 let[@inline] size_at f pre =
   match f with
-  | Boxed b -> b.sizes.(pre)
+  | Boxed b | Scratch b -> b.sizes.(pre)
   | Packed p -> col_get p.p_sizes pre
 
 let[@inline] level_at f pre =
   match f with
-  | Boxed b -> b.levels.(pre)
+  | Boxed b | Scratch b -> b.levels.(pre)
   | Packed p -> col_get p.p_levels pre
 
 let[@inline] parent_at f pre =
   match f with
-  | Boxed b -> b.parents.(pre)
+  | Boxed b | Scratch b -> b.parents.(pre)
   | Packed p -> col_get p.p_parents pre - 1
 
 (* -- bulk range decoding --------------------------------------------------- *)
@@ -127,24 +143,71 @@ module Stats = struct
   let add_bulk n = ignore (Atomic.fetch_and_add bulk n)
 end
 
-(* Decode one packed column slice [lo, hi) into [buf.(0 .. hi-lo-1)]: the
-   bit-width dispatch happens once per call instead of once per row, and
-   each width gets its own tight loop. *)
-let col_range c lo hi (buf : int array) =
+(* Decode one packed column slice [lo, hi) into [buf.(off .. off+hi-lo-1)]:
+   the bit-width dispatch happens once per call instead of once per row,
+   and each width gets its own tight loop. *)
+let col_into c lo hi (buf : int array) off =
+  let d = off - lo in
   match c with
   | C8 b ->
     for i = lo to hi - 1 do
-      Array.unsafe_set buf (i - lo) (Char.code (Bytes.unsafe_get b i))
+      Array.unsafe_set buf (i + d) (Char.code (Bytes.unsafe_get b i))
     done
   | C16 b ->
     for i = lo to hi - 1 do
-      Array.unsafe_set buf (i - lo) (Bytes.get_uint16_le b (i * 2))
+      Array.unsafe_set buf (i + d) (Bytes.get_uint16_le b (i * 2))
     done
   | C32 b ->
     for i = lo to hi - 1 do
-      Array.unsafe_set buf (i - lo)
+      Array.unsafe_set buf (i + d)
         (Int32.to_int (Bytes.get_int32_le b (i * 4)) land 0xFFFFFFFF)
     done
+
+(* The per-column slice decoders behind both the public [*_range]
+   accessors and the builder's subtree copies: rows [lo, hi) of [f] into
+   [buf] from [off] on, in the boxed (global id, -1 = none) coding. The
+   caller checks bounds. Boxed slices copy in a typed loop rather than
+   [Array.blit], which cannot tell an int array from a pointer array and
+   pays a write barrier per element once the target is in the major
+   heap (builder columns and large scan buffers are). *)
+let[@inline] copy_ints (src : int array) lo hi (dst : int array) off =
+  for i = lo to hi - 1 do
+    Array.unsafe_set dst (off + i - lo) (Array.unsafe_get src i)
+  done
+
+let kinds_into f lo hi (buf : Node_kind.t array) off =
+  match f with
+  | Boxed b | Scratch b ->
+    for i = lo to hi - 1 do
+      Array.unsafe_set buf (off + i - lo) (Array.unsafe_get b.kinds i)
+    done
+  | Packed p ->
+    for i = lo to hi - 1 do
+      Array.unsafe_set buf (off + i - lo)
+        (Node_kind.of_int (Char.code (Bytes.unsafe_get p.p_kinds i)))
+    done
+
+let dict_into c dict lo hi buf off =
+  col_into c lo hi buf off;
+  if Array.length dict = 0 then
+    for i = off to off + hi - lo - 1 do buf.(i) <- buf.(i) - 1 done
+  else
+    for i = off to off + hi - lo - 1 do buf.(i) <- decode_dict dict buf.(i) done
+
+let names_into f lo hi buf off =
+  match f with
+  | Boxed b | Scratch b -> copy_ints b.names lo hi buf off
+  | Packed p -> dict_into p.p_names p.p_name_dict lo hi buf off
+
+let values_into f lo hi buf off =
+  match f with
+  | Boxed b | Scratch b -> copy_ints b.values lo hi buf off
+  | Packed p -> dict_into p.p_values p.p_value_dict lo hi buf off
+
+let sizes_into f lo hi buf off =
+  match f with
+  | Boxed b | Scratch b -> copy_ints b.sizes lo hi buf off
+  | Packed p -> col_into p.p_sizes lo hi buf off
 
 let check_range what f lo hi buf_len =
   let n = frag_length f in
@@ -155,48 +218,24 @@ let check_range what f lo hi buf_len =
     Err.internal "Doc_store.%s: scratch buffer too small (%d < %d)"
       what buf_len (hi - lo)
 
-let kinds_range f lo hi (buf : Node_kind.t array) =
+let kinds_range f lo hi buf =
   check_range "kinds_range" f lo hi (Array.length buf);
-  (match f with
-   | Boxed b -> Array.blit b.kinds lo buf 0 (hi - lo)
-   | Packed p ->
-     for i = lo to hi - 1 do
-       Array.unsafe_set buf (i - lo)
-         (Node_kind.of_int (Char.code (Bytes.unsafe_get p.p_kinds i)))
-     done);
+  kinds_into f lo hi buf 0;
   Stats.add_bulk (hi - lo)
 
 let names_range f lo hi buf =
   check_range "names_range" f lo hi (Array.length buf);
-  (match f with
-   | Boxed b -> Array.blit b.names lo buf 0 (hi - lo)
-   | Packed p ->
-     col_range p.p_names lo hi buf;
-     let dict = p.p_name_dict in
-     if Array.length dict = 0 then
-       for i = 0 to hi - lo - 1 do buf.(i) <- buf.(i) - 1 done
-     else
-       for i = 0 to hi - lo - 1 do buf.(i) <- decode_dict dict buf.(i) done);
+  names_into f lo hi buf 0;
   Stats.add_bulk (hi - lo)
 
 let values_range f lo hi buf =
   check_range "values_range" f lo hi (Array.length buf);
-  (match f with
-   | Boxed b -> Array.blit b.values lo buf 0 (hi - lo)
-   | Packed p ->
-     col_range p.p_values lo hi buf;
-     let dict = p.p_value_dict in
-     if Array.length dict = 0 then
-       for i = 0 to hi - lo - 1 do buf.(i) <- buf.(i) - 1 done
-     else
-       for i = 0 to hi - lo - 1 do buf.(i) <- decode_dict dict buf.(i) done);
+  values_into f lo hi buf 0;
   Stats.add_bulk (hi - lo)
 
 let sizes_range f lo hi buf =
   check_range "sizes_range" f lo hi (Array.length buf);
-  (match f with
-   | Boxed b -> Array.blit b.sizes lo buf 0 (hi - lo)
-   | Packed p -> col_range p.p_sizes lo hi buf);
+  sizes_into f lo hi buf 0;
   Stats.add_bulk (hi - lo)
 
 (* Local name-code column slice: the raw per-fragment codes, no dictionary
@@ -205,9 +244,9 @@ let sizes_range f lo hi buf =
 let name_codes_range f lo hi buf =
   check_range "name_codes_range" f lo hi (Array.length buf);
   (match f with
-   | Boxed b ->
+   | Boxed b | Scratch b ->
      for i = lo to hi - 1 do buf.(i - lo) <- b.names.(i) + 1 done
-   | Packed p -> col_range p.p_names lo hi buf);
+   | Packed p -> col_into p.p_names lo hi buf 0);
   Stats.add_bulk (hi - lo)
 
 (* -- dictionary-code access ------------------------------------------------ *)
@@ -218,23 +257,24 @@ let name_codes_range f lo hi buf =
    pools, hence local codes are injective into strings per fragment. *)
 let[@inline] name_code_at f pre =
   match f with
-  | Boxed b -> b.names.(pre) + 1
+  | Boxed b | Scratch b -> b.names.(pre) + 1
   | Packed p -> col_get p.p_names pre
 
 let[@inline] text_code_at f pre =
   match f with
-  | Boxed b -> b.values.(pre) + 1
+  | Boxed b | Scratch b -> b.values.(pre) + 1
   | Packed p -> col_get p.p_values pre
 
 (* -- freezing a boxed fragment into packed columns ------------------------ *)
 
 let width_for maxv = if maxv < 0x100 then 1 else if maxv < 0x10000 then 2 else 4
 
-(* Pack a non-negative integer column at the narrowest width that holds
-   its maximum. *)
-let pack_col (a : int array) : col =
-  let n = Array.length a in
-  let maxv = Array.fold_left (fun m v -> if v > m then v else m) 0 a in
+(* Pack the first [n] entries of a non-negative integer column at the
+   narrowest width that holds their maximum. *)
+let pack_col (a : int array) n : col =
+  let maxv = ref 0 in
+  for i = 0 to n - 1 do if a.(i) > !maxv then maxv := a.(i) done;
+  let maxv = !maxv in
   match width_for maxv with
   | 1 ->
     let b = Bytes.create n in
@@ -251,13 +291,15 @@ let pack_col (a : int array) : col =
     for i = 0 to n - 1 do Bytes.set_int32_le b (4 * i) (Int32.of_int a.(i)) done;
     C32 b
 
-(* Dictionary-encode a pool-id column (-1 = none). Returns the code column
-   and the dictionary; the dictionary is [||] (identity coding: global
-   id + 1) whenever it would not shrink the bytes — local codes are dense
-   in first-occurrence order, so the encoding is deterministic. *)
-let dict_encode (ids : int array) : int array * int array =
-  let n = Array.length ids in
-  let tbl = Hashtbl.create 64 in
+module Int_tbl = Hashtbl.Make (Int)
+
+(* Dictionary-encode the first [n] entries of a pool-id column (-1 =
+   none). Returns the code column and the dictionary; the dictionary is
+   [||] (identity coding: global id + 1) whenever it would not shrink the
+   bytes — local codes are dense in first-occurrence order, so the
+   encoding is deterministic. *)
+let dict_encode (ids : int array) n : int array * int array =
+  let tbl = Int_tbl.create 64 in
   let dict = Vec.create 0 in
   let codes = Array.make n 0 in
   let maxg = ref (-1) in
@@ -266,12 +308,12 @@ let dict_encode (ids : int array) : int array * int array =
     if id >= 0 then begin
       if id > !maxg then maxg := id;
       let c =
-        match Hashtbl.find_opt tbl id with
+        match Int_tbl.find_opt tbl id with
         | Some c -> c
         | None ->
           let c = Vec.length dict + 1 in
           Vec.push dict id;
-          Hashtbl.add tbl id c;
+          Int_tbl.add tbl id c;
           c
       in
       codes.(i) <- c
@@ -281,26 +323,30 @@ let dict_encode (ids : int array) : int array * int array =
   let with_dict = (n * width_for k) + (8 * k) in
   let without = n * width_for (!maxg + 1) in
   if k > 0 && with_dict < without then (codes, Vec.to_array dict)
-  else (Array.map (fun id -> id + 1) ids, [||])
+  else begin
+    for i = 0 to n - 1 do codes.(i) <- ids.(i) + 1 done;
+    (codes, [||])
+  end
 
 let pack_frag (b : boxed) : packed =
-  let n = Array.length b.kinds in
+  let n = b.len in
   let kinds = Bytes.create n in
   for i = 0 to n - 1 do
     Bytes.unsafe_set kinds i (Char.unsafe_chr (Node_kind.to_int b.kinds.(i)))
   done;
-  let name_codes, name_dict = dict_encode b.names in
-  let value_codes, value_dict = dict_encode b.values in
+  let name_codes, name_dict = dict_encode b.names n in
+  let value_codes, value_dict = dict_encode b.values n in
+  let parents = Array.init n (fun i -> b.parents.(i) + 1) in
   {
     p_len = n;
     p_kinds = kinds;
-    p_names = pack_col name_codes;
+    p_names = pack_col name_codes n;
     p_name_dict = name_dict;
-    p_values = pack_col value_codes;
+    p_values = pack_col value_codes n;
     p_value_dict = value_dict;
-    p_sizes = pack_col b.sizes;
-    p_levels = pack_col b.levels;
-    p_parents = pack_col (Array.map (fun p -> p + 1) b.parents);
+    p_sizes = pack_col b.sizes n;
+    p_levels = pack_col b.levels n;
+    p_parents = pack_col parents n;
   }
 
 let col_bytes = function C8 b | C16 b | C32 b -> Bytes.length b
@@ -308,7 +354,7 @@ let col_bytes = function C8 b | C16 b | C32 b -> Bytes.length b
 (* Table bytes of one fragment as held in memory (dictionaries count at
    one word per entry; boxed fragments at one word per cell). *)
 let frag_bytes = function
-  | Boxed b -> 8 * 6 * Array.length b.kinds
+  | Boxed b | Scratch b -> 8 * 6 * b.len
   | Packed p ->
     Bytes.length p.p_kinds
     + col_bytes p.p_names + (8 * Array.length p.p_name_dict)
@@ -319,24 +365,38 @@ let frag_bytes = function
 
 type t = {
   mu : Mutex.t;
-      (* guards frags appends, the documents list, and name_counts; the
-         pools carry their own locks. Readers of already-published
-         fragments do not take it — fragments are immutable once pushed,
-         and cross-thread visibility of the push itself is the lock's
-         job on the writing side (server-level store locks keep whole
-         queries from racing a concurrent append). *)
+      (* guards frags appends and slot replacements, the documents list,
+         and the name counts; the pools carry their own locks. Readers of
+         already-published fragments do not take it — a published slot
+         only ever changes at its own invocation's settle step, and
+         cross-thread visibility of the push itself is the lock's job on
+         the writing side (server-level store locks keep whole queries
+         from racing a concurrent append). *)
   name_pool : Qname_pool.t;
   text_pool : String_pool.t;
   frags : frag Vec.t;
-  pack : bool; (* freeze finished fragments into packed columns? *)
+  pack : bool; (* freeze settled fragments into packed columns? *)
+  empty_text : int Atomic.t;
+      (* text-pool id of "", once anything interned it (-1 before): a
+         copied empty text node is dropped without a pool lookup *)
   mutable documents : (string * Node_id.t) list; (* uri -> document node *)
   name_counts : (int, int) Hashtbl.t;  (* name id -> total occurrences *)
-  mutable counted_frags : int;         (* frags folded into name_counts *)
+  mutable counted_frags : int;         (* frags [0, counted_frags) considered *)
+  mutable uncounted : int list;
+      (* scratch fragments below [counted_frags], folded once settled *)
 }
 
-let empty_frag = Boxed {
-  kinds = [||]; names = [||]; values = [||];
+let empty_boxed = {
+  len = 0; kinds = [||]; names = [||]; values = [||];
   sizes = [||]; levels = [||]; parents = [||];
+}
+
+let empty_packed = {
+  p_len = 0; p_kinds = Bytes.empty;
+  p_names = C8 Bytes.empty; p_name_dict = [||];
+  p_values = C8 Bytes.empty; p_value_dict = [||];
+  p_sizes = C8 Bytes.empty; p_levels = C8 Bytes.empty;
+  p_parents = C8 Bytes.empty;
 }
 
 let default_pack () =
@@ -348,11 +408,13 @@ let create ?packed () = {
   mu = Mutex.create ();
   name_pool = Qname_pool.create ();
   text_pool = String_pool.create ();
-  frags = Vec.create empty_frag;
+  frags = Vec.create (Boxed empty_boxed);
   pack = (match packed with Some b -> b | None -> default_pack ());
+  empty_text = Atomic.make (-1);
   documents = [];
   name_counts = Hashtbl.create 64;
   counted_frags = 0;
+  uncounted = [];
 }
 
 let[@inline] locked t f =
@@ -381,6 +443,13 @@ let name_test_id t q =
 
 let text_of_id t id = String_pool.get t.text_pool id
 
+(* Every text interning of the store goes through here, so the id of ""
+   is known without a lookup once it exists. *)
+let intern_text t s =
+  let id = String_pool.intern t.text_pool s in
+  if s = "" then Atomic.set t.empty_text id;
+  id
+
 let text_pool t = t.text_pool
 
 (* -- predicate-to-code translation ---------------------------------------- *)
@@ -408,7 +477,7 @@ let name_code_of_id f id =
   if id < 0 then None
   else
     match f with
-    | Boxed _ -> Some (id + 1)
+    | Boxed _ | Scratch _ -> Some (id + 1)
     | Packed p -> code_of_id p.p_name_dict id
 
 let code_of_name t f q =
@@ -421,14 +490,14 @@ let code_of_text t f s =
   | None -> None
   | Some id ->
     (match f with
-     | Boxed _ -> Some (id + 1)
+     | Boxed _ | Scratch _ -> Some (id + 1)
      | Packed p -> code_of_id p.p_value_dict id)
 
 (* Decode a local text code back to its global pool id (-1 for 0 = none):
    the late-materialization step of code-carrying columns. *)
 let[@inline] text_id_of_code f code =
   match f with
-  | Boxed _ -> code - 1
+  | Boxed _ | Scratch _ -> code - 1
   | Packed p -> decode_dict p.p_value_dict code
 
 let text_of_code t f code =
@@ -479,192 +548,307 @@ let find_document t uri = locked t (fun () -> List.assoc_opt uri t.documents)
 
 let documents t = locked t (fun () -> List.rev t.documents)
 
+(* -- query scopes and the settle step -------------------------------------- *)
+
+(* The fragments one invocation (a compiled run, an interpreter run, a
+   document parse) finished, in creation order. Until the scope settles
+   they are [Scratch] — boxed, so enclosing constructors copy out of them
+   slice by slice — and then each is either frozen in place (packed in a
+   packed store) or replaced by a zero-length tombstone. Slots are never
+   removed: fragment ids are document order, and the survivors keep
+   theirs. Scopes are tracked per invocation, so concurrent queries on one
+   store settle only their own fragments. *)
+type scope = {
+  sstore : t;
+  mutable sfrags : int list;  (* finished in this scope, newest first *)
+}
+
+module Scope = struct
+  type nonrec t = scope
+
+  let create store = { sstore = store; sfrags = [] }
+
+  let tombstone t = if t.pack then Packed empty_packed else Boxed empty_boxed
+
+  (* The one freeze: packed columns in a packed store, trimmed boxed
+     arrays in a reference store. *)
+  let freeze t b =
+    if t.pack then Packed (pack_frag b)
+    else if Array.length b.kinds = b.len then Boxed b
+    else
+      let sub a = Array.sub a 0 b.len in
+      Boxed {
+        len = b.len; kinds = sub b.kinds; names = sub b.names;
+        values = sub b.values; sizes = sub b.sizes; levels = sub b.levels;
+        parents = sub b.parents }
+
+  let settle s ~keep =
+    let t = s.sstore in
+    let fids = List.rev s.sfrags in
+    s.sfrags <- [];
+    (* freeze outside the lock (packing reads only the scratch arrays);
+       swap the slots in under it *)
+    let settled =
+      List.map
+        (fun fid ->
+           match Vec.get t.frags fid with
+           | Scratch b -> (fid, if keep fid then freeze t b else tombstone t)
+           | Boxed _ | Packed _ ->
+             Err.internal "Doc_store.Scope.settle: fragment %d already settled"
+               fid)
+        fids
+    in
+    locked t (fun () ->
+      List.iter (fun (fid, f) -> Vec.set t.frags fid f) settled)
+
+  let release s = settle s ~keep:(fun _ -> false)
+end
+
 (* -- builder ------------------------------------------------------------- *)
 
 module Builder = struct
   type nonrec t = {
     store : t;
-    kinds : Node_kind.t Vec.t;
-    names : int Vec.t;
-    values : int Vec.t;
-    sizes : int Vec.t;
-    levels : int Vec.t;
-    parents : int Vec.t;
+    scope : scope option;
+    mutable kinds : Node_kind.t array;
+    mutable names : int array;
+    mutable values : int array;
+    mutable sizes : int array;
+    mutable levels : int array;
+    mutable parents : int array;
+    mutable len : int;
     mutable stack : int list;      (* open nodes, innermost first *)
+    mutable depth : int;           (* = List.length stack *)
     mutable last_text : int;       (* pre of a trailing mergeable text node, -1 *)
     mutable finished : bool;
   }
 
-  let create store = {
-    store;
-    kinds = Vec.create Node_kind.Text;
-    names = Vec.create (-1);
-    values = Vec.create (-1);
-    sizes = Vec.create 0;
-    levels = Vec.create 0;
-    parents = Vec.create (-1);
-    stack = [];
-    last_text = -1;
-    finished = false;
-  }
+  let create ?scope ?(capacity = 16) store =
+    let cap = max capacity 1 in
+    {
+      store;
+      scope;
+      kinds = Array.make cap Node_kind.Text;
+      names = Array.make cap (-1);
+      values = Array.make cap (-1);
+      sizes = Array.make cap 0;
+      levels = Array.make cap 0;
+      parents = Array.make cap (-1);
+      len = 0;
+      stack = [];
+      depth = 0;
+      last_text = -1;
+      finished = false;
+    }
 
-  let depth b = List.length b.stack
+  (* Room for [k] more rows: all six columns grow together, doubling
+     (typed copies, for the reason given at [copy_ints]). *)
+  let reserve b k =
+    let need = b.len + k in
+    let cap = Array.length b.kinds in
+    if need > cap then begin
+      let cap = max need (2 * cap) in
+      let grow a dummy =
+        let a' = Array.make cap dummy in
+        copy_ints a 0 b.len a' 0;
+        a'
+      in
+      let kinds = Array.make cap Node_kind.Text in
+      for i = 0 to b.len - 1 do kinds.(i) <- b.kinds.(i) done;
+      b.kinds <- kinds;
+      b.names <- grow b.names (-1);
+      b.values <- grow b.values (-1);
+      b.sizes <- grow b.sizes 0;
+      b.levels <- grow b.levels 0;
+      b.parents <- grow b.parents (-1)
+    end
 
   let cur_parent b = match b.stack with [] -> -1 | p :: _ -> p
 
   let emit b kind name value =
-    let pre = Vec.length b.kinds in
-    Vec.push b.kinds kind;
-    Vec.push b.names name;
-    Vec.push b.values value;
-    Vec.push b.sizes 0;
-    Vec.push b.levels (depth b);
-    Vec.push b.parents (cur_parent b);
+    reserve b 1;
+    let pre = b.len in
+    b.kinds.(pre) <- kind;
+    b.names.(pre) <- name;
+    b.values.(pre) <- value;
+    b.sizes.(pre) <- 0;
+    b.levels.(pre) <- b.depth;
+    b.parents.(pre) <- cur_parent b;
+    b.len <- pre + 1;
     pre
+
+  let open_node b pre =
+    b.stack <- pre :: b.stack;
+    b.depth <- b.depth + 1
 
   let start_document b =
     b.last_text <- -1;
-    let pre = emit b Node_kind.Document (-1) (-1) in
-    b.stack <- pre :: b.stack
+    open_node b (emit b Node_kind.Document (-1) (-1))
 
-  let start_element b qname =
+  let start_element_id b name_id =
     b.last_text <- -1;
-    let pre = emit b Node_kind.Element (intern_name b.store qname) (-1) in
-    b.stack <- pre :: b.stack
+    open_node b (emit b Node_kind.Element name_id (-1))
+
+  let start_element b qname = start_element_id b (intern_name b.store qname)
 
   (* Standalone attribute construction (computed attribute constructors
      yield parentless attribute nodes) is allowed on an empty stack. *)
-  let attribute b qname v =
+  let attribute_ids b name_id value_id =
     (match b.stack with
      | [] -> ()
      | top :: _ ->
-       if Vec.get b.kinds top <> Node_kind.Element then
+       if b.kinds.(top) <> Node_kind.Element then
          Err.internal "Builder.attribute: owner is not an element";
        (* Attributes must precede any content of the open element. *)
-       if Vec.length b.kinds <> top + 1
-          && Vec.get b.kinds (Vec.length b.kinds - 1) <> Node_kind.Attribute
+       if b.len <> top + 1 && b.kinds.(b.len - 1) <> Node_kind.Attribute
        then Err.dynamic "attribute node constructed after non-attribute content");
-    let vid = String_pool.intern b.store.text_pool v in
-    ignore (emit b Node_kind.Attribute (intern_name b.store qname) vid)
+    ignore (emit b Node_kind.Attribute name_id value_id)
+
+  let attribute_id b name_id v = attribute_ids b name_id (intern_text b.store v)
+
+  let attribute b qname v = attribute_id b (intern_name b.store qname) v
+
+  (* Adjacent text merges into the trailing text node, as XDM requires
+     after construction. *)
+  let merge_text b s =
+    let old = text_of_id b.store b.values.(b.last_text) in
+    b.values.(b.last_text) <- intern_text b.store (old ^ s)
 
   let text b s =
     if s <> "" then begin
-      if b.last_text >= 0 then begin
-        (* merge adjacent text nodes, as XDM requires after construction *)
-        let old = text_of_id b.store (Vec.get b.values b.last_text) in
-        Vec.set b.values b.last_text
-          (String_pool.intern b.store.text_pool (old ^ s))
-      end else begin
-        let vid = String_pool.intern b.store.text_pool s in
-        let pre = emit b Node_kind.Text (-1) vid in
-        b.last_text <- pre
-      end
+      if b.last_text >= 0 then merge_text b s
+      else b.last_text <- emit b Node_kind.Text (-1) (intern_text b.store s)
+    end
+
+  (* [text] by pool id: a copied text node keeps its id unless it merges.
+     Empty ones vanish, like [text ""]. *)
+  let copy_text b vid =
+    if vid <> Atomic.get b.store.empty_text then begin
+      if b.last_text >= 0 then merge_text b (text_of_id b.store vid)
+      else b.last_text <- emit b Node_kind.Text (-1) vid
     end
 
   (* Emit a text node even when [s] is empty and without merging: computed
      text constructors (text { "" }) create a node regardless. *)
   let force_text b s =
     b.last_text <- -1;
-    ignore (emit b Node_kind.Text (-1) (String_pool.intern b.store.text_pool s))
+    ignore (emit b Node_kind.Text (-1) (intern_text b.store s))
 
   let comment b s =
     b.last_text <- -1;
-    ignore (emit b Node_kind.Comment (-1) (String_pool.intern b.store.text_pool s))
+    ignore (emit b Node_kind.Comment (-1) (intern_text b.store s))
 
   let pi b target content =
     b.last_text <- -1;
     let nid = intern_name b.store (Qname.make target) in
     ignore (emit b Node_kind.Processing_instruction nid
-              (String_pool.intern b.store.text_pool content))
+              (intern_text b.store content))
 
   let close b =
     match b.stack with
     | [] -> Err.internal "Builder: unbalanced end of node"
     | top :: rest ->
-      Vec.set b.sizes top (Vec.length b.kinds - top - 1);
+      b.sizes.(top) <- b.len - top - 1;
       b.stack <- rest;
+      b.depth <- b.depth - 1;
       b.last_text <- -1
 
   let end_element b = close b
   let end_document b = close b
 
-  (* Blit the subtree rooted at [pre0] of fragment [src] into the builder,
-     shifting levels and rebasing parent pointers. *)
+  (* Copy the subtree rooted at [pre0] of fragment [src] into the builder
+     in bulk — slice copies out of boxed and scratch fragments, the range
+     decoders out of packed ones — then shift levels and rebase parent
+     pointers. Pool ids are kept as they are. *)
   let copy_node b (src : frag) pre0 =
-    b.last_text <- -1;
-    let dst0 = Vec.length b.kinds in
-    let delta_level = depth b - level_at src pre0 in
-    for p = pre0 to pre0 + size_at src pre0 do
-      let parent =
-        if p = pre0 then cur_parent b
-        else parent_at src p - pre0 + dst0
-      in
-      Vec.push b.kinds (kind_at src p);
-      Vec.push b.names (name_at src p);
-      Vec.push b.values (value_at src p);
-      Vec.push b.sizes (size_at src p);
-      Vec.push b.levels (level_at src p + delta_level);
-      Vec.push b.parents parent
-    done;
+    let n = size_at src pre0 + 1 in
+    reserve b n;
+    let dst0 = b.len in
+    let hi = pre0 + n in
+    kinds_into src pre0 hi b.kinds dst0;
+    names_into src pre0 hi b.names dst0;
+    values_into src pre0 hi b.values dst0;
+    sizes_into src pre0 hi b.sizes dst0;
+    let delta_level = b.depth - level_at src pre0 in
+    (match src with
+     | Boxed s | Scratch s ->
+       for i = 1 to n - 1 do
+         b.levels.(dst0 + i) <- s.levels.(pre0 + i) + delta_level;
+         b.parents.(dst0 + i) <- s.parents.(pre0 + i) - pre0 + dst0
+       done
+     | Packed p ->
+       col_into p.p_levels pre0 hi b.levels dst0;
+       col_into p.p_parents pre0 hi b.parents dst0;
+       for i = dst0 + 1 to dst0 + n - 1 do
+         b.levels.(i) <- b.levels.(i) + delta_level;
+         b.parents.(i) <- b.parents.(i) - 1 - pre0 + dst0
+       done);
+    b.levels.(dst0) <- b.depth;
+    b.parents.(dst0) <- cur_parent b;
+    b.len <- dst0 + n;
     b.last_text <- -1
 
-  (* Deep-copy the subtree rooted at [n] (from any fragment of the same
-     store) as content of the currently open node. Implements the node
-     copying of XQuery constructors. Copying a text node merges with an
-     adjacent text sibling; copying a document node copies its children. *)
-  let copy b (n : Node_id.t) =
-    let src = frag b.store (Node_id.frag n) in
-    let pre0 = Node_id.pre n in
+  (* Deep-copy the subtree rooted at ([frag], [pre]) (any fragment of the
+     same store) as content of the currently open node. Implements the
+     node copying of XQuery constructors. Copying a text node merges with
+     an adjacent text sibling; copying a document node copies its
+     children. *)
+  let copy_at b ~frag:fid ~pre:pre0 =
+    let src = Vec.get b.store.frags fid in
     match kind_at src pre0 with
-    | Node_kind.Text ->
-      text b (text_of_id b.store (value_at src pre0))
+    | Node_kind.Text -> copy_text b (value_at src pre0)
     | Node_kind.Attribute ->
-      attribute b (name_of_id b.store (name_at src pre0))
-        (text_of_id b.store (value_at src pre0))
+      attribute_ids b (name_at src pre0) (value_at src pre0)
     | Node_kind.Document ->
       b.last_text <- -1;
       let p = ref (pre0 + 1) in
       let stop = pre0 + size_at src pre0 in
       while !p <= stop do
-        if kind_at src !p = Node_kind.Text then
-          text b (text_of_id b.store (value_at src !p))
+        if kind_at src !p = Node_kind.Text then copy_text b (value_at src !p)
         else copy_node b src !p;
         p := !p + size_at src !p + 1
       done
     | Node_kind.Element | Node_kind.Comment | Node_kind.Processing_instruction ->
       copy_node b src pre0
 
-  (* Freeze the builder into a new fragment; returns the fragment id and
-     the preorder ranks of the fragment's roots. The freeze step is where
-     the packed columns are built: the boxed working arrays are scanned
-     once for their maxima and re-emitted at minimal width. *)
-  let finish b =
+  let copy b (n : Node_id.t) =
+    copy_at b ~frag:(Node_id.frag n) ~pre:(Node_id.pre n)
+
+  (* Publish the builder's arrays as a new scratch fragment of its scope;
+     returns the fragment id and the preorder ranks of its roots. A
+     builder without a scope settles its fragment at once, keeping it
+     (document parsing). The builder must be balanced and is dead
+     afterwards. *)
+  let finish_pres b =
     if b.finished then Err.internal "Builder.finish called twice";
     if b.stack <> [] then Err.internal "Builder.finish with open nodes";
     b.finished <- true;
-    let boxed = {
-      kinds = Vec.to_array b.kinds;
-      names = Vec.to_array b.names;
-      values = Vec.to_array b.values;
-      sizes = Vec.to_array b.sizes;
-      levels = Vec.to_array b.levels;
-      parents = Vec.to_array b.parents;
+    let f = Scratch {
+      len = b.len; kinds = b.kinds; names = b.names; values = b.values;
+      sizes = b.sizes; levels = b.levels; parents = b.parents;
     } in
-    let f = if b.store.pack then Packed (pack_frag boxed) else Boxed boxed in
+    let scope =
+      match b.scope with Some s -> s | None -> Scope.create b.store
+    in
     let fid =
       locked b.store (fun () ->
         let fid = Vec.length b.store.frags in
         Vec.push b.store.frags f;
+        scope.sfrags <- fid :: scope.sfrags;
         fid)
     in
-    let roots = Vec.create (-1) in
+    let roots = Vec.create ~capacity:1 (-1) in
     let p = ref 0 in
-    let n = frag_length f in
-    while !p < n do
+    while !p < b.len do
       Vec.push roots !p;
-      p := !p + size_at f !p + 1
+      p := !p + b.sizes.(!p) + 1
     done;
-    (fid, Array.map (fun pre -> Node_id.make ~frag:fid ~pre) (Vec.to_array roots))
+    if b.scope = None then Scope.settle scope ~keep:(fun _ -> true);
+    (fid, Vec.to_array roots)
+
+  let finish b =
+    let fid, pres = finish_pres b in
+    (fid, Array.map (fun pre -> Node_id.make ~frag:fid ~pre) pres)
 end
 
 (* -- total node count (for stats / benchmarks) --------------------------- *)
@@ -673,11 +857,13 @@ let total_nodes t =
   Vec.fold_left (fun acc f -> acc + frag_length f) 0 t.frags
 
 (* How many nodes (elements and attributes) carry the given name, across
-   all fragments. Counts are folded incrementally: fragments are immutable
-   once finished, so only the frags appended since the last query need a
-   scan. Packed fragments with a name dictionary fold by counting local
-   codes and expanding once through the dictionary. Used to seed the
-   optimizer's cardinality estimates. *)
+   all settled fragments. Counts are folded incrementally: settled
+   fragments are immutable, so only the frags appended since the last
+   query need a scan; a fragment still scratch (its invocation has not
+   settled) is set aside and folded once it has — a released one then
+   counts nothing. Packed fragments with a name dictionary fold by
+   counting local codes and expanding once through the dictionary. Used
+   to seed the optimizer's cardinality estimates. *)
 let name_occurrences t q =
   let qid = Qname_pool.find_opt t.name_pool q in
   locked t (fun () ->
@@ -686,10 +872,15 @@ let name_occurrences t q =
         Hashtbl.replace t.name_counts id
           (k + Option.value ~default:0 (Hashtbl.find_opt t.name_counts id))
     in
-    for fid = t.counted_frags to n_frags t - 1 do
-      match frag t fid with
+    let fold fid =
+      match Vec.get t.frags fid with
+      | Scratch _ -> false
       | Boxed b ->
-        Array.iter (fun id -> if id >= 0 then bump id 1) b.names
+        for pre = 0 to b.len - 1 do
+          let id = b.names.(pre) in
+          if id >= 0 then bump id 1
+        done;
+        true
       | Packed p ->
         let k = Array.length p.p_name_dict in
         if k > 0 then begin
@@ -703,7 +894,12 @@ let name_occurrences t q =
           for pre = 0 to p.p_len - 1 do
             let c = col_get p.p_names pre in
             if c > 0 then bump (c - 1) 1
-          done
+          done;
+        true
+    in
+    t.uncounted <- List.filter (fun fid -> not (fold fid)) t.uncounted;
+    for fid = t.counted_frags to n_frags t - 1 do
+      if not (fold fid) then t.uncounted <- fid :: t.uncounted
     done;
     t.counted_frags <- n_frags t;
     match qid with
@@ -819,7 +1015,8 @@ module Snapshot = struct
          List.rev t.documents))
     in
     let frags =
-      Array.map (function Boxed b -> pack_frag b | Packed p -> p) frags
+      Array.map
+        (function Boxed b | Scratch b -> pack_frag b | Packed p -> p) frags
     in
     put_string out magic;
     put_u32 out format_version;
@@ -1009,7 +1206,7 @@ module Snapshot = struct
     let pos = ref 0 in
     for id = 0 to n_texts - 1 do
       let s = c_str payload pos (c_u32 payload pos) in
-      if String_pool.intern st.text_pool s <> id then
+      if intern_text st s <> id then
         corrupt "duplicate text pool entry"
     done;
     c_end payload pos "text pool";

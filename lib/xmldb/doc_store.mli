@@ -6,13 +6,21 @@
     Attributes are inlined immediately after their owner element (before
     its children) with size 0; every axis except [attribute] skips them.
 
-    Fragments are immutable once finished. Runtime node construction
+    Fragments are immutable once {e settled}. Runtime node construction
     allocates fresh fragments, giving constructed trees a document order
     after all existing nodes; *within* a constructed fragment, document
     order is the order content was fed to the {!Builder} — this realizes
     the seq→doc order interaction (paper, Section 2, interaction 2).
 
-    Physically, a finished fragment is frozen into bit-width minimal
+    Construction is query-scoped: a fragment finished inside an
+    invocation's {!Scope} stays in the builder's boxed working form
+    (scratch), so enclosing constructors copy out of it in bulk, until
+    the invocation ends and {!Scope.settle} freezes the fragments its
+    result references and replaces every other one with a zero-length
+    tombstone. Tombstones keep fragment ids — and with them the document
+    order of the survivors — stable.
+
+    Physically, a settled fragment is frozen into bit-width minimal
     packed columns (u8/u16/u32 per column, chosen from the actual
     maximum; per-fragment dictionaries over the global name/text pools) —
     the MonetDB/X100-style encoded relational back-end of the paper's
@@ -29,7 +37,7 @@ type frag
 type t
 
 (** [create ()] makes an empty store. [packed] selects the physical
-    fragment representation frozen at builder [finish] (default: packed,
+    fragment representation frozen at the settle step (default: packed,
     unless the environment sets [XRQ_STORE_PACK=0]). *)
 val create : ?packed:bool -> unit -> t
 
@@ -37,7 +45,8 @@ val n_frags : t -> int
 val frag : t -> int -> frag
 val frag_length : frag -> int
 
-(** Whether this fragment was frozen into packed columns. *)
+(** Whether this fragment was frozen into packed columns (never true of
+    a scratch fragment). *)
 val frag_packed : frag -> bool
 
 (** Whether this store packs fragments at freeze time. *)
@@ -182,10 +191,35 @@ val documents : t -> (string * Node_id.t) list
 val total_nodes : t -> int
 
 (** Number of nodes (elements and attributes) carrying the given name,
-    across all fragments; 0 for names the store has never seen. Counts
-    fold incrementally over finished (immutable) fragments, so repeated
-    queries are cheap. Seeds the optimizer's cardinality estimates. *)
+    across all settled fragments; 0 for names the store has never seen.
+    Counts fold incrementally over settled (immutable) fragments, so
+    repeated queries are cheap; scratch fragments are counted once they
+    settle, and released ones never. Seeds the optimizer's cardinality
+    estimates. *)
 val name_occurrences : t -> Qname.t -> int
+
+(** {2 Query scopes}
+
+    A scope collects the fragments one invocation finishes. [settle]
+    ends it: each fragment for which [keep fid] holds is frozen in place
+    (packed columns in a packed store), every other one becomes a
+    zero-length tombstone in the store's representation, so fragment ids
+    never shift. Executors settle once per run, keeping the fragments
+    their result references, and [release] (keep nothing) on every
+    exception path. *)
+module Scope : sig
+  type store := t
+  type t
+
+  val create : store -> t
+
+  (** Freeze the kept fragments, tombstone the rest. The scope is empty
+      afterwards. *)
+  val settle : t -> keep:(int -> bool) -> unit
+
+  (** [settle ~keep:(fun _ -> false)]. *)
+  val release : t -> unit
+end
 
 (** {2 Building fragments}
 
@@ -196,17 +230,27 @@ module Builder : sig
   type store := t
   type t
 
-  val create : store -> t
+  (** [scope]: publish the fragment as scratch in this scope at [finish];
+      without one, [finish] settles it at once, keeping it (document
+      parsing). [capacity]: expected rows (the builder grows past it). *)
+  val create : ?scope:Scope.t -> ?capacity:int -> store -> t
 
   val start_document : t -> unit
   val end_document : t -> unit
   val start_element : t -> Qname.t -> unit
+
+  (** Same, by an already-interned name id ({!intern_name}). *)
+  val start_element_id : t -> int -> unit
+
   val end_element : t -> unit
 
   (** Add an attribute to the currently open element (or a parentless
       attribute node when no element is open). Raises a dynamic error if
       the open element already has non-attribute content. *)
   val attribute : t -> Qname.t -> string -> unit
+
+  (** Same, by an already-interned name id. *)
+  val attribute_id : t -> int -> string -> unit
 
   (** Append character data; empty strings are ignored, adjacent text
       merges. *)
@@ -222,13 +266,21 @@ module Builder : sig
   (** Deep-copy the subtree rooted at the given node (from any fragment of
       the same store) as content of the currently open node — XQuery
       constructor copy semantics. Text merges with an adjacent text
-      sibling; a document node copies its children. *)
+      sibling (an empty text node vanishes); a document node copies its
+      children. Rows are copied in bulk and keep their name/text pool
+      ids. *)
   val copy : t -> Node_id.t -> unit
 
-  (** Freeze into a new fragment; returns its id and the node ids of the
-      fragment's roots. The builder must be balanced and is dead
-      afterwards. Freezing is where packed columns are built. *)
+  (** [copy] by (fragment id, preorder rank). *)
+  val copy_at : t -> frag:int -> pre:int -> unit
+
+  (** Publish the fragment; returns its id and the node ids of its roots.
+      The builder must be balanced and is dead afterwards. Publishing
+      does not freeze: see {!Scope}. *)
   val finish : t -> int * Node_id.t array
+
+  (** [finish], returning the roots as preorder ranks. *)
+  val finish_pres : t -> int * int array
 end
 
 (** {2 Snapshots}

@@ -349,6 +349,112 @@ let test_resource_error_not_degraded () =
      | Some _ -> Alcotest.fail "resource exhaustion engaged the fallback"
      | None -> Alcotest.fail "row budget did not trip")
 
+(* ------------------------------------- constructed fragments on exit *)
+
+(* A run is one construction scope: whatever way it ends, the store keeps
+   exactly the fragments its result references. Intermediate and
+   abandoned fragments leave zero-length tombstones, so [total_nodes]
+   after a run is its value before plus the rows of the kept result
+   fragments — and exactly its value before when the run raised. *)
+
+let constructing =
+  "for $b in doc(\"t.xml\")//b \
+   return <r n=\"{count($b/*)}\"><w>{$b}</w>{$b/c}</r>"
+
+let kept_rows st items =
+  let fids =
+    List.sort_uniq compare
+      (List.filter_map
+         (function Value.Node n -> Some (Xmldb.Node_id.frag n) | _ -> None)
+         items)
+  in
+  List.fold_left
+    (fun acc fid ->
+       acc + Xmldb.Doc_store.frag_length (Xmldb.Doc_store.frag st fid))
+    0 fids
+
+let check_exit name st before outcome =
+  let after = Xmldb.Doc_store.total_nodes st in
+  match outcome with
+  | Ok items ->
+    let want = before + kept_rows st items in
+    if after <> want then
+      Alcotest.failf "%s: total_nodes %d after the run, want %d + kept %d" name
+        after before (want - before)
+  | Error e ->
+    if after <> before then
+      Alcotest.failf "%s: run raised (%s) but total_nodes went %d -> %d" name
+        (Printexc.to_string e) before after
+
+let run_items ?(opts = Engine.default_opts) st q =
+  match Engine.run ~opts st q with
+  | r -> Ok r.Engine.items
+  | exception e -> Error e
+
+let physical_opts = [ ("physical", `On); ("boxed", `Off) ]
+
+(* Row budgets from "trips at the first kernel" up to "never trips": some
+   trip after the constructors ran, and none may leave fragments. *)
+let test_release_on_row_budget () =
+  List.iter
+    (fun (name, physical) ->
+       let tripped = ref 0 in
+       for k = 1 to 40 do
+         let st = mk_store () in
+         let before = Xmldb.Doc_store.total_nodes st in
+         let opts =
+           { Engine.default_opts with
+             Engine.physical;
+             budget = Some (Budget.limits ~max_rows:k ()) }
+         in
+         let outcome = run_items ~opts st constructing in
+         (match outcome with Error _ -> incr tripped | Ok _ -> ());
+         check_exit (Printf.sprintf "%s max_rows %d" name k) st before outcome
+       done;
+       if !tripped = 0 then Alcotest.failf "%s: no row budget tripped" name)
+    physical_opts
+
+let test_release_on_dynamic_error () =
+  let q = "let $e := <a><b>x</b></a> return $e + 1" in
+  List.iter
+    (fun (name, opts) ->
+       let st = mk_store () in
+       let before = Xmldb.Doc_store.total_nodes st in
+       let outcome = run_items ~opts st q in
+       (match outcome with
+        | Error (Err.Dynamic_error _) -> ()
+        | _ -> Alcotest.failf "%s: expected a dynamic error" name);
+       check_exit name st before outcome)
+    [ ("physical", Engine.default_opts);
+      ("boxed", { Engine.default_opts with Engine.physical = `Off });
+      ("interpreted",
+       { Engine.default_opts with Engine.backend = Engine.Interpreted }) ]
+
+(* An injected internal error at any kernel boundary: the compiled run's
+   fragments go, the interpreter's answer keeps only its result. *)
+let test_release_before_fallback () =
+  (* the boxed plan's boundary count bounds the physical kernel count *)
+  let n = count_boundaries (mk_store ()) constructing in
+  let degraded = ref 0 in
+  for k = 1 to n do
+    let st = mk_store () in
+    let before = Xmldb.Doc_store.total_nodes st in
+    let opts =
+      { Engine.default_opts with
+        Engine.budget = Some (Budget.limits ~fault_at:k ()) }
+    in
+    match Engine.run ~opts st constructing with
+    | r ->
+      if r.Engine.degraded <> None then incr degraded;
+      check_exit (Printf.sprintf "fault at %d/%d" k n) st before
+        (Ok r.Engine.items)
+    | exception e ->
+      Alcotest.failf "fault at %d/%d escaped: %s" k n (Printexc.to_string e)
+  done;
+  if !degraded < 3 then
+    Alcotest.failf "the fallback engaged at only %d of %d boundaries"
+      !degraded n
+
 let () =
   Alcotest.run "robustness"
     [ ( "budgets",
@@ -376,6 +482,13 @@ let () =
           Alcotest.test_case "evals counters exact" `Quick test_evals_counters;
           Alcotest.test_case "cancellation mid-DAG-walk" `Quick
             test_cancel_mid_dag_walk ] );
+      ( "fragment release",
+        [ Alcotest.test_case "released on a row-budget trip" `Quick
+            test_release_on_row_budget;
+          Alcotest.test_case "released on a dynamic error" `Quick
+            test_release_on_dynamic_error;
+          Alcotest.test_case "released before the fallback" `Quick
+            test_release_before_fallback ] );
       ( "front-end errors",
         [ Alcotest.test_case "malformed XML" `Quick test_malformed_xml;
           Alcotest.test_case "syntax error positions" `Quick

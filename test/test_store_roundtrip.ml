@@ -576,6 +576,149 @@ let test_corrupt_missing_file () =
     Alcotest.failf "missing file: wrong error class %s: %s"
       (Basis.Err.kind_label k) msg
 
+(* -------------------------------------- 7. query-scoped construction *)
+
+(* Each run settles its own fragments: the ones its result references are
+   frozen (packed in a packed store), every other one becomes a
+   zero-length tombstone. Packed and boxed stores must still grow
+   identically, snapshots must still round-trip byte for byte, and the
+   name counts that seed the optimizer must never see a released node. *)
+
+let count_sub s sub =
+  let n = String.length sub in
+  let k = ref 0 in
+  for i = 0 to String.length s - n do
+    if String.sub s i n = sub then incr k
+  done;
+  !k
+
+let q10 = Xmark.Xmark_queries.get "Q10"
+
+let auction_store packed =
+  let st = DS.create ~packed () in
+  ignore
+    (Xmldb.Xml_parser.load_document st ~uri:"auction.xml"
+       (Lazy.force auction_xml));
+  st
+
+let test_settled_stores_after_construction () =
+  let sp = auction_store true and sb = auction_store false in
+  let doc_nodes = DS.total_nodes sp in
+  let rp = Engine.run sp q10 and rb = Engine.run sb q10 in
+  Alcotest.(check string) "Q10 agrees on packed and boxed stores"
+    rb.Engine.serialized rp.Engine.serialized;
+  check_store_parity "after Q10" sp sb;
+  (* the store grew by the result fragments alone *)
+  let kept =
+    List.sort_uniq compare
+      (List.filter_map
+         (function
+           | Algebra.Value.Node n -> Some (Xmldb.Node_id.frag n)
+           | _ -> None)
+         rp.Engine.items)
+  in
+  Alcotest.(check int) "total nodes = document + kept result fragments"
+    (doc_nodes
+     + List.fold_left (fun acc f -> acc + DS.frag_length (DS.frag sp f)) 0 kept)
+    (DS.total_nodes sp);
+  let s1 = DS.Snapshot.to_string sp in
+  let s2 = DS.Snapshot.to_string (DS.Snapshot.of_string s1) in
+  Alcotest.(check bool) "save -> load -> save identical after Q10" true
+    (String.equal s1 s2);
+  Alcotest.(check bool) "boxed source saves identically after Q10" true
+    (String.equal s1 (DS.Snapshot.to_string sb))
+
+let test_name_occurrences_skip_released () =
+  let st = auction_store true in
+  let name = Xmldb.Qname.make in
+  (* fold the document first, so the query's fragments are counted
+     incrementally on the next call *)
+  Alcotest.(check int) "no personne before" 0
+    (DS.name_occurrences st (name "personne"));
+  let r = Engine.run st q10 in
+  List.iter
+    (fun tag ->
+       let want =
+         count_sub r.Engine.serialized ("<" ^ tag ^ ">")
+         + count_sub r.Engine.serialized ("<" ^ tag ^ "/>")
+       in
+       if want = 0 then Alcotest.failf "Q10 result has no <%s>" tag;
+       Alcotest.(check int)
+         (tag ^ ": counted once per result node")
+         want
+         (DS.name_occurrences st (name tag)))
+    [ "categorie"; "personne"; "statistiques"; "sexe" ]
+
+(* A fragment still scratch when the counts fold (a concurrent query's,
+   say) is set aside and folded once settled: a released one never
+   counts, a kept one counts once. *)
+let test_name_counts_wait_for_settle () =
+  let st = build true "<d/>" in
+  let q = Xmldb.Qname.make "w" in
+  let scratch_w () =
+    let scope = DS.Scope.create st in
+    let b = DS.Builder.create ~scope st in
+    DS.Builder.start_element b q;
+    DS.Builder.end_element b;
+    ignore (DS.Builder.finish b);
+    scope
+  in
+  let released = scratch_w () and kept = scratch_w () in
+  Alcotest.(check int) "scratch fragments not counted" 0
+    (DS.name_occurrences st q);
+  DS.Scope.release released;
+  Alcotest.(check int) "released fragment never counted" 0
+    (DS.name_occurrences st q);
+  DS.Scope.settle kept ~keep:(fun _ -> true);
+  Alcotest.(check int) "kept fragment counted once settled" 1
+    (DS.name_occurrences st q);
+  Alcotest.(check int) "and only once" 1 (DS.name_occurrences st q)
+
+let test_constructed_order_across_settle () =
+  let st = build true "<d/>" in
+  let scope = DS.Scope.create st in
+  let tree tag =
+    let b = DS.Builder.create ~scope st in
+    DS.Builder.start_element b (Xmldb.Qname.make tag);
+    DS.Builder.text b tag;
+    DS.Builder.end_element b;
+    (snd (DS.Builder.finish b)).(0)
+  in
+  let a = tree "a" and m = tree "m" and z = tree "z" in
+  Alcotest.(check bool) "scratch until settled" false
+    (DS.frag_packed (DS.frag st (Xmldb.Node_id.frag a)));
+  let keep f = f <> Xmldb.Node_id.frag m in
+  DS.Scope.settle scope ~keep;
+  Alcotest.(check int) "released fragment is a zero-length tombstone" 0
+    (DS.frag_length (DS.frag st (Xmldb.Node_id.frag m)));
+  List.iter
+    (fun (n, tag) ->
+       Alcotest.(check bool) (tag ^ " frozen packed") true
+         (DS.frag_packed (DS.frag st (Xmldb.Node_id.frag n)));
+       Alcotest.(check string) (tag ^ " intact")
+         (Printf.sprintf "<%s>%s</%s>" tag tag tag)
+         (Xmldb.Serialize.node_to_string st n))
+    [ (a, "a"); (z, "z") ];
+  let later = (snd (let b = DS.Builder.create st in
+                    DS.Builder.start_element b (Xmldb.Qname.make "later");
+                    DS.Builder.end_element b;
+                    DS.Builder.finish b)).(0) in
+  Alcotest.(check (list string)) "creation order is document order"
+    [ "a"; "z"; "later" ]
+    (List.map
+       (fun n -> Xmldb.Qname.to_string (Option.get (DS.name st n)))
+       (List.sort Xmldb.Node_id.compare [ later; z; a ]));
+  (* the same across engine runs: a later query's trees order after an
+     earlier one's, whatever each released in between *)
+  let q = "for $i in 1 to 3 return <t><u>{$i}</u></t>/u" in
+  let first = (Engine.run st q).Engine.items in
+  let second = (Engine.run st q).Engine.items in
+  let ids = List.map (function
+      | Algebra.Value.Node n -> n
+      | _ -> Alcotest.fail "expected nodes") (first @ second) in
+  Alcotest.(check bool) "results of successive runs in creation order" true
+    (List.sort Xmldb.Node_id.compare ids = ids)
+
 let () =
   Alcotest.run "store-roundtrip"
     [ ("1. accessor parity packed vs boxed",
@@ -611,6 +754,15 @@ let () =
            test_code_eval_oracle_eq_shapes;
          Alcotest.test_case "dictionary-hostile fallback" `Quick
            test_code_eval_oracle_hostile ]);
+      ("7. query-scoped construction",
+       [ Alcotest.test_case "settled stores after Q10" `Quick
+           test_settled_stores_after_construction;
+         Alcotest.test_case "name counts skip released nodes (Q10)" `Quick
+           test_name_occurrences_skip_released;
+         Alcotest.test_case "name counts wait for the settle" `Quick
+           test_name_counts_wait_for_settle;
+         Alcotest.test_case "constructed trees keep creation order" `Quick
+           test_constructed_order_across_settle ]);
       ("5. corruption is a clean dynamic error",
        [ Alcotest.test_case "truncations" `Quick test_corrupt_truncations;
          Alcotest.test_case "bit flips" `Quick test_corrupt_bitflips;
